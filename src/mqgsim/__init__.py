@@ -7,30 +7,28 @@ from .circuit import (
     CircuitError,
     CircuitParseError,
     LayerDisjointnessError,
+    LayerError,
     Metrics,
-    MqgLayer,
     QubitRef,
-    Toffoli,
-    apply_gate,
-    make_circuit,
     metrics,
     mqg_roles,
     parse,
-    push_layer,
     serialize,
 )
 from .gf2 import Anf, block_A, block_Z, closed_form_outputs, verify_appendix
 from .synthesis import (
     ComparisonRow,
-    PaddedSpec,
-    SynthesisSpec,
+    control_target_masks,
+    pin_mask,
     synth_baseline_dirty,
     synth_mqg_network,
-    synth_padded,
     table1_compare,
 )
 from .sim import (
     EquivReport,
+    McxOracle,
+    check_anf,
+    mcx_oracle,
     run_all,
     run_anf,
     run_basis,

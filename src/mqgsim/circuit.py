@@ -1,25 +1,47 @@
-"""Role-labeled reversible circuits built from layers of disjoint Toffoli gates.
+"""Reversible circuits built from layers of disjoint Toffoli gates.
 
-A circuit is a fixed set of wires, each tagged with a role label (``A0``,
-``B1``, ...), plus a sequence of layers. Every gate in a layer touches a
-disjoint set of wires, so the gates of one layer commute and can be thought
-of as executing simultaneously. Basis states are plain integers with bit 0
-corresponding to flat wire index 0 (little-endian).
+A circuit is a tuple of wire roles (``A0``, ``B1``, ...) plus a tuple of
+layers. Each layer is a tuple of ``(c1, c2, t)`` flat wire indices, one per
+Toffoli, and the gates of one layer touch disjoint wires, so they commute
+and can be thought of as executing simultaneously. Basis states are plain
+integers with bit 0 corresponding to flat wire index 0 (little-endian).
+Role labels are only for the edges: the MQGC1 file format and text output.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 ROLES = ("A", "B", "C", "D")
 
 FORMAT_MAGIC = "MQGC1"
+
+# ASCII decimal, no sign, no leading zero: the only spelling serialize emits.
+_NUM = "(0|[1-9][0-9]*)"
+_LABEL = re.compile(f"([ABCD]){_NUM}")
+_QUBITS = re.compile(f"qubits {_NUM}")
+_ROLE = re.compile(f"role {_NUM} (.*)")
+_TOFF = re.compile(f"toff {_NUM} {_NUM} {_NUM}")
+
+Gate = tuple[int, int, int]
 
 
 class CircuitError(ValueError):
     """Invalid circuit construction."""
 
 
-class LayerDisjointnessError(CircuitError):
+class LayerError(CircuitError):
+    """A bad layer (``gate`` is None) or a bad gate at (``layer``, ``gate``)."""
+
+    def __init__(self, layer: int, gate: int | None, message: str):
+        where = f"layer {layer}" if gate is None else f"layer {layer} gate {gate}"
+        super().__init__(f"{where}: {message}")
+        self.layer = layer
+        self.gate = gate
+
+
+class LayerDisjointnessError(LayerError):
     """Two gates in one layer share a wire."""
 
 
@@ -50,55 +72,65 @@ class QubitRef:
 
     @classmethod
     def from_label(cls, label: str) -> "QubitRef":
-        role, digits = label[:1], label[1:]
-        if role not in ROLES or not digits.isdigit():
+        match = _LABEL.fullmatch(label)
+        if match is None:
             raise CircuitError(f"bad qubit label {label!r}")
-        return cls(role, int(digits))
+        return cls(match[1], int(match[2]))
 
     def __repr__(self) -> str:
         return self.label
 
 
-@dataclass(frozen=True)
-class Toffoli:
-    """C2-NOT: flips ``target`` iff both controls are 1."""
-
-    ctrl1: QubitRef
-    ctrl2: QubitRef
-    target: QubitRef
-
-    def __post_init__(self):
-        if len({self.ctrl1, self.ctrl2, self.target}) != 3:
-            raise CircuitError(f"duplicate wire in gate {self}")
-
-    @property
-    def support(self) -> frozenset[QubitRef]:
-        return frozenset((self.ctrl1, self.ctrl2, self.target))
-
-    def __repr__(self) -> str:
-        return f"T({self.ctrl1},{self.ctrl2}->{self.target})"
+def _check_layer(index: int, layer: tuple[Gate, ...], width: int) -> None:
+    if not layer:
+        raise LayerError(index, None, "empty layer")
+    seen: set[int] = set()
+    for g, gate in enumerate(layer):
+        wires = set(gate)
+        if len(gate) != 3 or len(wires) != 3:
+            raise LayerError(index, g, f"gate {gate} needs three distinct wires")
+        if not all(0 <= w < width for w in gate):
+            raise LayerError(index, g, f"gate {gate} has a wire outside 0..{width - 1}")
+        if seen & wires:
+            raise LayerDisjointnessError(
+                index, g, f"gate {gate} overlaps wires {sorted(seen & wires)}"
+            )
+        seen |= wires
 
 
 @dataclass(frozen=True)
-class MqgLayer:
-    """One simultaneous layer of support-disjoint Toffoli gates."""
+class Circuit:
+    """Immutable circuit: role per flat index, plus layers of (c1, c2, t) gates.
 
-    gates: tuple[Toffoli, ...]
+    Construction checks that the roles are distinct and that every layer is
+    non-empty, in range, and made of disjoint three-wire gates. Equal
+    layers are checked once, so a network that repeats a few layer
+    templates costs a hash per layer.
+    """
+
+    roles: tuple[QubitRef, ...]
+    layers: tuple[tuple[Gate, ...], ...] = ()
 
     def __post_init__(self):
-        if not self.gates:
-            raise CircuitError("empty layer")
-        seen: set[QubitRef] = set()
-        for g in self.gates:
-            if seen & g.support:
-                raise LayerDisjointnessError(
-                    f"gate {g} overlaps wires {sorted(seen & g.support)}"
-                )
-            seen |= g.support
+        if len(set(self.roles)) != len(self.roles):
+            raise CircuitError("role map is not a bijection (duplicate labels)")
+        first: dict[tuple[Gate, ...], int] = {}
+        for i, layer in enumerate(self.layers):
+            first.setdefault(layer, i)
+        for layer, i in first.items():
+            _check_layer(i, layer, len(self.roles))
 
     @property
-    def support(self) -> frozenset[QubitRef]:
-        return frozenset().union(*(g.support for g in self.gates))
+    def num_qubits(self) -> int:
+        return len(self.roles)
+
+    @cached_property
+    def masks(self) -> tuple[tuple[Gate, ...], ...]:
+        """Per layer, the ``(1 << c1, 1 << c2, 1 << t)`` bit masks of its gates."""
+        return tuple(
+            tuple((1 << c1, 1 << c2, 1 << t) for c1, c2, t in layer)
+            for layer in self.layers
+        )
 
 
 @dataclass(frozen=True)
@@ -106,70 +138,17 @@ class Metrics:
     qubit_count: int
     mqg_count: int
     toffoli_count: int
-    depth: int
-
-
-@dataclass(frozen=True)
-class Circuit:
-    """Immutable circuit: role map (flat index -> QubitRef) plus layers."""
-
-    num_qubits: int
-    roles: tuple[QubitRef, ...]
-    layers: tuple[MqgLayer, ...] = ()
-    index_of: dict[QubitRef, int] = field(
-        init=False, repr=False, compare=False, hash=False, default=None
-    )
-
-    def __post_init__(self):
-        if len(self.roles) != self.num_qubits:
-            raise CircuitError(
-                f"role map covers {len(self.roles)} of {self.num_qubits} qubits"
-            )
-        index_of = {ref: i for i, ref in enumerate(self.roles)}
-        if len(index_of) != self.num_qubits:
-            raise CircuitError("role map is not a bijection (duplicate labels)")
-        object.__setattr__(self, "index_of", index_of)
-        for layer in self.layers:
-            for g in layer.gates:
-                for ref in g.support:
-                    if ref not in index_of:
-                        raise CircuitError(f"gate wire {ref} not in role map")
-
-
-def make_circuit(n_qubits: int, roles: dict[int, QubitRef]) -> Circuit:
-    """Build an empty circuit from a flat-index -> QubitRef map."""
-    if sorted(roles) != list(range(n_qubits)):
-        raise CircuitError(
-            f"role map keys must be exactly 0..{n_qubits - 1}, got {sorted(roles)}"
-        )
-    return Circuit(n_qubits, tuple(roles[i] for i in range(n_qubits)))
-
-
-def push_layer(circuit: Circuit, gates) -> Circuit:
-    """Return a copy of ``circuit`` with one more layer appended."""
-    layer = MqgLayer(tuple(gates))
-    for ref in layer.support:
-        if ref not in circuit.index_of:
-            raise CircuitError(f"gate wire {ref} not in circuit")
-    return Circuit(circuit.num_qubits, circuit.roles, circuit.layers + (layer,))
-
-
-def apply_gate(bits: dict[QubitRef, int], g: Toffoli) -> dict[QubitRef, int]:
-    """Apply one Toffoli to a wire-valued bit assignment."""
-    out = dict(bits)
-    out[g.target] = bits[g.target] ^ (bits[g.ctrl1] & bits[g.ctrl2])
-    return out
 
 
 def metrics(circuit: Circuit) -> Metrics:
     return Metrics(
         qubit_count=circuit.num_qubits,
         mqg_count=len(circuit.layers),
-        toffoli_count=sum(len(layer.gates) for layer in circuit.layers),
-        depth=len(circuit.layers),
+        toffoli_count=sum(len(layer) for layer in circuit.layers),
     )
 
 
+@lru_cache(maxsize=None)
 def mqg_roles(n: int) -> tuple[QubitRef, ...]:
     """Canonical wire order of the 2^(n+2)+1-qubit network.
 
@@ -186,98 +165,71 @@ def mqg_roles(n: int) -> tuple[QubitRef, ...]:
 
 def serialize(circuit: Circuit) -> str:
     lines = [FORMAT_MAGIC, f"qubits {circuit.num_qubits}"]
-    for i, ref in enumerate(circuit.roles):
-        lines.append(f"role {i} {ref.label}")
+    lines += [f"role {i} {ref.label}" for i, ref in enumerate(circuit.roles)]
     for layer in circuit.layers:
         lines.append("layer")
-        for g in layer.gates:
-            idx = circuit.index_of
-            lines.append(f"toff {idx[g.ctrl1]} {idx[g.ctrl2]} {idx[g.target]}")
+        lines += [f"toff {c1} {c2} {t}" for c1, c2, t in layer]
     return "\n".join(lines) + "\n"
 
 
 def parse(text: str) -> Circuit:
-    """Strict parser for the MQGC1 format; raises CircuitParseError."""
-    lines = text.splitlines()
+    """Parse canonical MQGC1 text, exactly what ``serialize`` writes.
+
+    Any other spelling (signs, leading zeros, non-ASCII digits, extra
+    spaces, blank lines, CR or a missing final newline) raises
+    CircuitParseError with the 1-based offending line.
+    """
+    lines = text.split("\n")
 
     def fail(lineno: int, msg: str):
         raise CircuitParseError(lineno, msg)
 
+    if lines.pop() != "":
+        fail(len(lines) + 1, "text must end with a newline")
     if not lines or lines[0] != FORMAT_MAGIC:
         fail(1, f"expected header {FORMAT_MAGIC!r}")
-    if len(lines) < 2 or not lines[1].startswith("qubits "):
+    match = _QUBITS.fullmatch(lines[1]) if len(lines) > 1 else None
+    if match is None:
         fail(2, "expected 'qubits <M>'")
-    try:
-        num_qubits = int(lines[1].split()[1])
-    except (IndexError, ValueError):
-        fail(2, f"bad qubit count in {lines[1]!r}")
+    num_qubits = int(match[1])
     if num_qubits < 1:
         fail(2, f"qubit count must be positive, got {num_qubits}")
 
-    roles: dict[int, QubitRef] = {}
-    pos = 2
+    roles = []
     for i in range(num_qubits):
-        lineno = pos + i + 1
-        if pos + i >= len(lines):
+        lineno = i + 3
+        if lineno > len(lines):
             fail(lineno, "missing role line")
-        parts = lines[pos + i].split()
-        if len(parts) != 3 or parts[0] != "role":
-            fail(lineno, f"expected 'role <index> <label>', got {lines[pos + i]!r}")
+        match = _ROLE.fullmatch(lines[lineno - 1])
+        if match is None:
+            fail(lineno, f"expected 'role <index> <label>', got {lines[lineno - 1]!r}")
+        if int(match[1]) != i:
+            fail(lineno, f"role index {match[1]} out of order (expected {i})")
         try:
-            flat = int(parts[1])
-            ref = QubitRef.from_label(parts[2])
-        except (ValueError, CircuitError) as e:
+            roles.append(QubitRef.from_label(match[2]))
+        except CircuitError as e:
             fail(lineno, str(e))
-        if flat != i:
-            fail(lineno, f"role index {flat} out of order (expected {i})")
-        roles[flat] = ref
-    pos += num_qubits
+
+    layers: list[list[Gate]] = []
+    layer_lines: list[int] = []
+    for lineno in range(num_qubits + 3, len(lines) + 1):
+        line = lines[lineno - 1]
+        if line == "layer":
+            layers.append([])
+            layer_lines.append(lineno)
+            continue
+        match = _TOFF.fullmatch(line)
+        if match is None:
+            fail(lineno, f"unexpected line {line!r}")
+        if not layers:
+            fail(lineno, "toff outside a layer block")
+        layers[-1].append((int(match[1]), int(match[2]), int(match[3])))
 
     try:
-        circuit = make_circuit(num_qubits, roles)
+        return Circuit(tuple(roles), tuple(tuple(layer) for layer in layers))
+    except LayerError as e:
+        # A layer's gates sit on the lines right after its header.
+        start = layer_lines[e.layer]
+        fail(start if e.gate is None else start + 1 + e.gate, str(e))
     except CircuitError as e:
-        fail(pos, str(e))
-
-    current: list[Toffoli] | None = None
-    layer_start = pos
-
-    def close_layer():
-        nonlocal circuit, current
-        if current is not None:
-            try:
-                circuit = push_layer(circuit, current)
-            except CircuitError as e:
-                fail(layer_start + 1, str(e))
-            current = None
-
-    for off, line in enumerate(lines[pos:]):
-        lineno = pos + off + 1
-        if line == "layer":
-            close_layer()
-            current = []
-            layer_start = pos + off
-        elif line.startswith("toff "):
-            if current is None:
-                fail(lineno, "toff outside a layer block")
-            parts = line.split()
-            if len(parts) != 4:
-                fail(lineno, f"expected 'toff <c1> <c2> <t>', got {line!r}")
-            try:
-                c1, c2, t = (int(p) for p in parts[1:])
-            except ValueError:
-                fail(lineno, f"non-integer index in {line!r}")
-            for idx in (c1, c2, t):
-                if not 0 <= idx < num_qubits:
-                    fail(lineno, f"index {idx} out of range 0..{num_qubits - 1}")
-            try:
-                current.append(
-                    Toffoli(circuit.roles[c1], circuit.roles[c2], circuit.roles[t])
-                )
-            except CircuitError as e:
-                fail(lineno, str(e))
-        elif line.strip() == "":
-            fail(lineno, "blank line not allowed")
-        else:
-            fail(lineno, f"unknown keyword in {line!r}")
-    close_layer()
-    return circuit
+        fail(num_qubits + 2, str(e))

@@ -9,23 +9,27 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .circuit import CircuitError, CircuitParseError, metrics, mqg_roles, parse, serialize
-from .gf2 import closed_form_outputs, wire_names
+# Imported so callers can look it up (and wrap it) here, beside run_anf.
+from .gf2 import closed_form_outputs  # noqa: F401
 from .nmr import KIND_TARGET, LatticeConfig, verify_identity
 from .sim import (
     DEFAULT_EXHAUSTIVE_LIMIT,
     bits_to_word,
+    check_anf,
+    mcx_oracle,
     oracle_trace,
     run_all,
     run_anf,
     trace_blocks,
 )
-from .synthesis import SynthesisSpec, synth_mqg_network, table1_compare
+from .synthesis import control_target_masks, synth_mqg_network, table1_compare
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -59,7 +63,7 @@ def _network_n(num_qubits: int) -> int:
 
 
 def cmd_synth(args) -> int:
-    circuit = synth_mqg_network(SynthesisSpec(args.n))
+    circuit = synth_mqg_network(args.n)
     text = serialize(circuit)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -68,7 +72,7 @@ def cmd_synth(args) -> int:
     m = metrics(circuit)
     print(
         f"qubits={m.qubit_count} mqg_count={m.mqg_count} "
-        f"toffoli_count={m.toffoli_count} depth={m.depth}",
+        f"toffoli_count={m.toffoli_count}",
         file=sys.stderr,
     )
     return EXIT_OK
@@ -78,77 +82,28 @@ def cmd_verify(args) -> int:
     if args.circuit:
         circuit = parse(Path(args.circuit).read_text(encoding="utf-8"))
     else:
-        circuit = synth_mqg_network(SynthesisSpec(args.n))
+        circuit = synth_mqg_network(args.n)
     n = _network_n(circuit.num_qubits)
     if circuit.roles != mqg_roles(n):
         raise CircuitError("circuit role map does not match the n-network layout")
+    oracle = mcx_oracle(*control_target_masks(n))
 
     mode = args.mode
     if mode == "auto":
         mode = "exhaustive" if circuit.num_qubits <= DEFAULT_EXHAUSTIVE_LIMIT else "symbolic"
-
     if mode == "exhaustive":
-        reference = _closed_form_permutation(n)
-        report = run_all(circuit, reference)
-        rep = {
-            "mode": report.mode,
-            "states_checked": report.states_checked,
-            "pass": report.passed,
-            "counterexample": report.counterexample,
-        }
+        report = run_all(circuit, oracle)
     else:
-        expected = closed_form_outputs(n)
-        actual = run_anf(circuit)
-        names = wire_names(n)
-        bad = None
-        for ref in mqg_roles(n):
-            if actual[ref] != expected[ref]:
-                bad = {
-                    "wire": ref.label,
-                    "expected": expected[ref].to_text(names),
-                    "actual": actual[ref].to_text(names),
-                }
-                break
-        rep = {
-            "mode": "symbolic",
-            "states_checked": len(mqg_roles(n)),
-            "pass": bad is None,
-            "counterexample": bad,
-        }
+        report = check_anf(run_anf(circuit), oracle, circuit.roles)
+    rep = asdict(report)
+    rep["pass"] = rep.pop("passed")
     _emit(_payload(args, "verify", rep), args)
-    return EXIT_OK if rep["pass"] else EXIT_FAIL
-
-
-def _closed_form_permutation(n: int):
-    roles = mqg_roles(n)
-    idx = {ref: i for i, ref in enumerate(roles)}
-    from .circuit import QubitRef
-
-    control_mask = 1 << idx[QubitRef("A", 0)]
-    for l in range(1, 2**n + 1):
-        control_mask |= (1 << idx[QubitRef("B", l)]) | (1 << idx[QubitRef("C", l)])
-    target_mask = 1 << idx[QubitRef("A", 2**n)]
-
-    def reference(s: int) -> int:
-        return s ^ target_mask if (s & control_mask) == control_mask else s
-
-    return reference
+    return EXIT_OK if report.passed else EXIT_FAIL
 
 
 def cmd_compare(args) -> int:
-    rows = []
-    for n in range(1, args.n + 1) if args.all_up_to else [args.n]:
-        row = table1_compare(n)
-        rows.append(
-            {
-                "n": n,
-                "N": row.N,
-                "proposed_units": row.proposed_units,
-                "proposed_qubits": row.proposed_qubits,
-                "baseline_units": row.baseline_units,
-                "baseline_qubits": row.baseline_qubits,
-            }
-        )
+    ns = range(1, args.n + 1) if args.all_up_to else [args.n]
+    rows = [{"n": n, **asdict(table1_compare(n))} for n in ns]
     _emit(_payload(args, "compare", {"rows": rows}), args)
     return EXIT_OK
 
@@ -177,7 +132,7 @@ def cmd_nmr_verify(args) -> int:
 
 def cmd_trace(args) -> int:
     n = args.n
-    circuit = synth_mqg_network(SynthesisSpec(n))
+    circuit = synth_mqg_network(n)
     if len(args.input) != circuit.num_qubits or set(args.input) - {"0", "1"}:
         raise CircuitError(
             f"--input must be {circuit.num_qubits} chars of 0/1 in flat-index order"

@@ -143,13 +143,6 @@ def block_Z(n: int, l: int, k: int) -> Anf:
     return (bc & block_A(n, l - 1, k - 1)) ^ block_Z(n, l, k - 1)
 
 
-def block_D_final(n: int, l: int) -> Anf:
-    """d_l at the final stage boundary: restored to its input value."""
-    if not 1 <= l <= 2**n:
-        raise ValueError(f"row index l={l} outside 1..{2**n}")
-    return variable(n, QubitRef("D", l))
-
-
 def control_product(n: int) -> Anf:
     """A0 B1 C1 ... B_{2^n} C_{2^n} as a single monomial."""
     p = variable(n, QubitRef("A", 0))
@@ -158,11 +151,12 @@ def control_product(n: int) -> Anf:
     return p
 
 
-def closed_form_outputs(n: int) -> dict[QubitRef, Anf]:
-    """Output law of the network: only a_{2^n} changes, by the control product."""
-    m = 2**n
-    out = {ref: variable(n, ref) for ref in mqg_roles(n)}
-    out[QubitRef("A", m)] = control_product(n) ^ variable(n, QubitRef("A", m))
+def closed_form_outputs(n: int) -> dict[int, Anf]:
+    """Output law of the network, keyed by flat index: only a_{2^n} changes,
+    by the control product."""
+    out = {i: Anf.var(i) for i in range(len(mqg_roles(n)))}
+    target = _flat(n)[QubitRef("A", 2**n)]
+    out[target] = control_product(n) ^ out[target]
     return out
 
 

@@ -11,6 +11,7 @@ tolerance is pure floating-point slack.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -328,6 +329,10 @@ def verify_identity(
     """
     if trials < 1:
         raise LatticeError(f"need at least one trial, got {trials}")
+    if not 0.0 <= t < math.inf:
+        raise LatticeError(f"evolution time t must be finite and >= 0, got {t}")
+    if not 0.0 <= tol < math.inf:
+        raise LatticeError(f"tolerance must be finite and >= 0, got {tol}")
     seq = canonical_sequence(kind, t) if sequence is None else sequence
     eff = effective_evolution(seq, cfg)
     target_diag = _diagonal_phase(eff.surviving, cfg, 1.0)

@@ -1,23 +1,26 @@
-"""Execution backends over a Circuit.
+"""Execution backends over a Circuit, and the reference they are checked against.
 
 Three ways to run the same circuit: per-basis-state bit pushing, symbolic
 GF(2) simulation (exact for any width), and dense state-vector application
-via the circuit's basis permutation. The exhaustive checker compares the
-whole truth table against a reference permutation.
+via the circuit's basis permutation. The single reference is
+``mcx_oracle``: a multi-controlled NOT given by a control mask and a target
+mask. The exhaustive check compares the whole truth table with it and the
+symbolic check compares output ANFs with it; both return an EquivReport.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .circuit import Circuit, CircuitError, QubitRef
-from .gf2 import Anf, block_A, block_D_final, block_Z
-from .synthesis import SynthesisSpec, synth_mqg_network
+from .circuit import Circuit, CircuitError, QubitRef, mqg_roles
+from .gf2 import Anf, block_A, block_Z, variable
+from .synthesis import layer_templates
 
 DEFAULT_EXHAUSTIVE_LIMIT = 24
+
+STATEVECTOR_LIMIT = 20
 
 
 def bits_to_word(bits: Sequence[int]) -> int:
@@ -37,19 +40,11 @@ def bitstring(word: int, width: int) -> str:
     return "".join(str((word >> i) & 1) for i in range(width))
 
 
-def _gate_masks(circuit: Circuit) -> list[tuple[int, int, int]]:
-    idx = circuit.index_of
-    masks = []
-    for layer in circuit.layers:
-        for g in layer.gates:
-            masks.append((1 << idx[g.ctrl1], 1 << idx[g.ctrl2], 1 << idx[g.target]))
-    return masks
-
-
 def run_word(circuit: Circuit, word: int) -> int:
-    for c1, c2, t in _gate_masks(circuit):
-        if word & c1 and word & c2:
-            word ^= t
+    for layer in circuit.masks:
+        for c1, c2, t in layer:
+            if word & c1 and word & c2:
+                word ^= t
     return word
 
 
@@ -64,36 +59,68 @@ def run_basis(circuit: Circuit, bits: Sequence[int]) -> tuple[int, ...]:
 
 def all_outputs(circuit: Circuit) -> np.ndarray:
     """Vectorized truth table: outputs[s] = circuit applied to basis state s."""
-    M = circuit.num_qubits
-    states = np.arange(1 << M, dtype=np.uint64)
-    for c1, c2, t in _gate_masks(circuit):
-        cond = (states & c1).astype(bool) & (states & c2).astype(bool)
-        states[cond] ^= np.uint64(t)
+    states = np.arange(1 << circuit.num_qubits, dtype=np.uint64)
+    for layer in circuit.masks:
+        for c1, c2, t in layer:
+            both = np.uint64(c1 | c2)
+            states[(states & both) == both] ^= np.uint64(t)
     return states
 
 
 @dataclass(frozen=True)
+class McxOracle:
+    """Reference multi-controlled NOT: XOR ``target`` into every state whose
+    ``control`` bits are all 1; every other state is left alone."""
+
+    control: int
+    target: int
+
+    def outputs(self, width: int) -> np.ndarray:
+        """The truth table over all 2^width basis states."""
+        states = np.arange(1 << width, dtype=np.uint64)
+        control = np.uint64(self.control)
+        states[(states & control) == control] ^= np.uint64(self.target)
+        return states
+
+    def anf(self, width: int) -> dict[int, Anf]:
+        """The output ANF of every wire, keyed by flat index."""
+        product = Anf.one()
+        for i in range(width):
+            if self.control >> i & 1:
+                product = product & Anf.var(i)
+        return {
+            i: Anf.var(i) ^ product if self.target >> i & 1 else Anf.var(i)
+            for i in range(width)
+        }
+
+
+def mcx_oracle(control_mask: int, target_mask: int) -> McxOracle:
+    """The C^k-NOT on ``control_mask`` and ``target_mask``; they must not overlap."""
+    if target_mask <= 0 or control_mask < 0 or control_mask & target_mask:
+        raise CircuitError(
+            f"bad oracle masks: control {control_mask:#x}, target {target_mask:#x}"
+        )
+    return McxOracle(control_mask, target_mask)
+
+
+@dataclass(frozen=True)
 class EquivReport:
-    mode: str  # exhaustive | symbolic | sampled
+    """Outcome of one equivalence check, in either mode.
+
+    ``states_checked`` is 2^M in both modes: equal output ANFs prove every
+    input. The counterexample is an input state (exhaustive) or the first
+    differing wire (symbolic).
+    """
+
+    mode: str  # exhaustive | symbolic
     states_checked: int
     passed: bool
     counterexample: dict | None = None
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "mode": self.mode,
-                "states_checked": self.states_checked,
-                "pass": self.passed,
-                "counterexample": self.counterexample,
-            },
-            indent=2,
-        )
-
 
 def run_all(
     circuit: Circuit,
-    reference: Callable[[int], int],
+    oracle: McxOracle,
     max_qubits: int = DEFAULT_EXHAUSTIVE_LIMIT,
 ) -> EquivReport:
     """Exhaustive truth-table comparison; also asserts the map is a bijection."""
@@ -104,12 +131,12 @@ def run_all(
             "use run_anf for a symbolic check"
         )
     outputs = all_outputs(circuit)
-    if len(np.unique(outputs)) != 1 << M:
+    hit = np.zeros(1 << M, dtype=bool)
+    hit[outputs] = True
+    if not hit.all():
         raise CircuitError("circuit output map is not a bijection")
-    expected = np.fromiter(
-        (reference(s) for s in range(1 << M)), dtype=np.uint64, count=1 << M
-    )
-    bad = np.nonzero(outputs != expected)[0]
+    expected = oracle.outputs(M)
+    bad = np.flatnonzero(outputs != expected)
     if bad.size:
         s = int(bad[0])
         return EquivReport(
@@ -125,35 +152,49 @@ def run_all(
     return EquivReport(mode="exhaustive", states_checked=1 << M, passed=True)
 
 
-def run_anf(circuit: Circuit) -> dict[QubitRef, Anf]:
-    """Symbolic simulation; exact for any Toffoli circuit."""
-    idx = circuit.index_of
+def run_anf(circuit: Circuit) -> dict[int, Anf]:
+    """Symbolic simulation, keyed by flat index; exact for any Toffoli circuit."""
     wires = [Anf.var(i) for i in range(circuit.num_qubits)]
     for layer in circuit.layers:
         # Snapshot not needed: supports are disjoint within a layer.
-        for g in layer.gates:
-            t = idx[g.target]
-            wires[t] = wires[t] ^ (wires[idx[g.ctrl1]] & wires[idx[g.ctrl2]])
-    return {ref: wires[i] for i, ref in enumerate(circuit.roles)}
+        for c1, c2, t in layer:
+            wires[t] = wires[t] ^ (wires[c1] & wires[c2])
+    return dict(enumerate(wires))
 
 
-def circuit_permutation(circuit: Circuit, max_qubits: int = 20) -> np.ndarray:
-    if circuit.num_qubits > max_qubits:
-        raise CircuitError(
-            f"{circuit.num_qubits} qubits exceeds the state-vector limit {max_qubits}"
-        )
-    return all_outputs(circuit)
+def check_anf(
+    outputs: Mapping[int, Anf], oracle: McxOracle, roles: Sequence[QubitRef]
+) -> EquivReport:
+    """Compare a circuit's output ANFs (from ``run_anf``) with the oracle's."""
+    names = [ref.label for ref in roles]
+    width = len(names)
+    expected = oracle.anf(width)
+    for i in range(width):
+        if outputs[i] != expected[i]:
+            return EquivReport(
+                mode="symbolic",
+                states_checked=1 << width,
+                passed=False,
+                counterexample={
+                    "wire": names[i],
+                    "expected": expected[i].to_text(names),
+                    "actual": outputs[i].to_text(names),
+                },
+            )
+    return EquivReport(mode="symbolic", states_checked=1 << width, passed=True)
 
 
 def run_statevector(circuit: Circuit, state: np.ndarray) -> np.ndarray:
     """Apply the circuit's basis permutation to a dense amplitude vector."""
-    perm = circuit_permutation(circuit)
-    if state.shape != perm.shape:
+    M = circuit.num_qubits
+    if M > STATEVECTOR_LIMIT:
         raise CircuitError(
-            f"state dimension {state.shape} != {perm.shape} (2^qubits)"
+            f"{M} qubits exceeds the state-vector limit {STATEVECTOR_LIMIT}"
         )
+    if state.shape != (1 << M,):
+        raise CircuitError(f"state dimension {state.shape} != ({1 << M},) (2^qubits)")
     out = np.empty_like(state)
-    out[perm] = state
+    out[all_outputs(circuit)] = state
     return out
 
 
@@ -172,57 +213,49 @@ def trace_blocks(circuit: Circuit, n: int, bits: Sequence[int]) -> list[BlockTra
     """Run the n-network layer by layer, reading block-boundary wire values.
 
     Z_l(k) is a_l after layer 4k-2; A_l(k) and D_l(k) are a_l and d_l after
-    layer 4k. The circuit must be the canonical n-network.
+    layer 4k. The circuit must be the canonical n-network: its roles and
+    its alternating type-1/type-2 layers are checked before the run.
     """
-    reference = synth_mqg_network(SynthesisSpec(n))
-    if circuit != reference:
+    type1, type2 = layer_templates(n)
+    if circuit.roles != mqg_roles(n) or circuit.layers != (type1, type2) * 2 ** (n + 1):
         raise CircuitError("circuit is not the block-structured n-network")
     if len(bits) != circuit.num_qubits:
         raise CircuitError(
             f"input width {len(bits)} != circuit width {circuit.num_qubits}"
         )
-    idx = circuit.index_of
-    m = 2**n
+    # Row l's type-2 gate is T(b_l, d_l -> a_l).
+    rows = [(l, d, a) for l, (_, d, a) in enumerate(type2, start=1)]
     word = bits_to_word(bits)
-    masks = [
-        [(1 << idx[g.ctrl1], 1 << idx[g.ctrl2], 1 << idx[g.target]) for g in layer.gates]
-        for layer in circuit.layers
-    ]
     z_at: dict[tuple[int, int], int] = {}
     traces: list[BlockTrace] = []
-    for layer_no, layer_masks in enumerate(masks, start=1):
-        for c1, c2, t in layer_masks:
+    for layer_no, layer in enumerate(circuit.masks, start=1):
+        for c1, c2, t in layer:
             if word & c1 and word & c2:
                 word ^= t
         if layer_no % 4 == 2:
             k = (layer_no + 2) // 4
-            for l in range(1, m + 1):
-                z_at[(l, k)] = (word >> idx[QubitRef("A", l)]) & 1
+            for l, _, a in rows:
+                z_at[(l, k)] = (word >> a) & 1
         elif layer_no % 4 == 0:
             k = layer_no // 4
-            for l in range(1, m + 1):
-                traces.append(
-                    BlockTrace(
-                        l=l,
-                        k=k,
-                        a=(word >> idx[QubitRef("A", l)]) & 1,
-                        z=z_at[(l, k)],
-                        d=(word >> idx[QubitRef("D", l)]) & 1,
-                    )
-                )
+            traces += [
+                BlockTrace(l=l, k=k, a=(word >> a) & 1, z=z_at[(l, k)], d=(word >> d) & 1)
+                for l, d, a in rows
+            ]
     return traces
 
 
 def oracle_trace(n: int, bits: Sequence[int]) -> dict[tuple[int, int], tuple[int, int, int | None]]:
     """Evaluate the recurrence ANFs at one input: (l, k) -> (a, z, d or None).
 
-    d is only pinned by the oracle at the final stage k = 2^n.
+    d is only pinned by the oracle at the final stage k = 2^n, where d_l is
+    restored to its input value.
     """
     m = 2**n
     out = {}
     for k in range(1, m + 1):
         for l in range(1, m + 1):
-            d = block_D_final(n, l).evaluate(bits) if k == m else None
+            d = variable(n, QubitRef("D", l)).evaluate(bits) if k == m else None
             out[(l, k)] = (
                 block_A(n, l, k).evaluate(bits),
                 block_Z(n, l, k).evaluate(bits),

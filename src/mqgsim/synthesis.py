@@ -1,109 +1,63 @@
 """Construction of the layered Toffoli networks.
 
-Three builders live here: the 2^(n+2)-layer network whose only net effect
-is to flip a_{2^n} when all 2^(n+1)+1 controls are 1, the padded variant
-that pins surplus controls to 1 so smaller multi-controlled NOTs fall out,
-and the conventional dirty-ancilla V-chain used for the unit-count
-comparison.
+Two builders live here: the 2^(n+2)-layer network whose only net effect
+is to flip a_{2^n} when all 2^(n+1)+1 controls are 1, and the conventional
+dirty-ancilla V-chain used for the unit-count comparison. Smaller
+multi-controlled NOTs come from the unmodified network by holding the
+controls of ``pin_mask`` at 1.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .circuit import (
-    Circuit,
-    CircuitError,
-    QubitRef,
-    Toffoli,
-    metrics,
-    mqg_roles,
-    push_layer,
-)
+from .circuit import Circuit, CircuitError, Gate, QubitRef, metrics, mqg_roles
 
 
-@dataclass(frozen=True)
-class SynthesisSpec:
-    """Parameters of the n-network; m = 2^n rows."""
+def layer_templates(n: int) -> tuple[tuple[Gate, ...], tuple[Gate, ...]]:
+    """The two layer shapes of the n-network, as flat-index gates.
 
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise CircuitError(f"need n >= 1, got {self.n}")
-
-    @property
-    def rows(self) -> int:
-        return 2**self.n
-
-    @property
-    def qubit_count(self) -> int:
-        return 2 ** (self.n + 2) + 1
-
-    @property
-    def control_count(self) -> int:
-        return 2 ** (self.n + 1) + 1
-
-    @property
-    def simulated_gate_qubits(self) -> int:
-        # N in the C^(N-1)-NOT being simulated: controls + target.
-        return 2 ** (self.n + 1) + 2
-
-
-def synth_mqg_network(spec: SynthesisSpec) -> Circuit:
-    """Build the 2^(n+2)-layer network.
-
-    Layers alternate between type 1, T(a_{l-1}, c_l -> d_l) for every row,
-    and type 2, T(b_l, d_l -> a_l); the pair repeats 2^(n+1) times.
+    Type 1 is T(a_{l-1}, c_l -> d_l) and type 2 is T(b_l, d_l -> a_l), for
+    every row l = 1..2^n.
     """
-    m = spec.rows
-    roles = mqg_roles(spec.n)
-    circuit = Circuit(len(roles), roles)
+    idx = {ref: i for i, ref in enumerate(mqg_roles(n))}
+    rows = range(1, 2**n + 1)
     type1 = tuple(
-        Toffoli(QubitRef("A", l - 1), QubitRef("C", l), QubitRef("D", l))
-        for l in range(1, m + 1)
+        (idx[QubitRef("A", l - 1)], idx[QubitRef("C", l)], idx[QubitRef("D", l)])
+        for l in rows
     )
     type2 = tuple(
-        Toffoli(QubitRef("B", l), QubitRef("D", l), QubitRef("A", l))
-        for l in range(1, m + 1)
+        (idx[QubitRef("B", l)], idx[QubitRef("D", l)], idx[QubitRef("A", l)])
+        for l in rows
     )
-    for _ in range(2 * m):
-        circuit = push_layer(circuit, type1)
-        circuit = push_layer(circuit, type2)
-    return circuit
+    return type1, type2
 
 
-def _pin_order(n: int) -> list[QubitRef]:
-    # Highest rows first, c before b; a_0 is never pinned.
-    order = []
-    for l in range(2**n, 0, -1):
-        order.append(QubitRef("C", l))
-        order.append(QubitRef("B", l))
-    return order
+def synth_mqg_network(n: int) -> Circuit:
+    """Build the 2^(n+2)-layer network: the pair (type 1, type 2) 2^(n+1) times."""
+    return Circuit(mqg_roles(n), layer_templates(n) * 2 ** (n + 1))
 
 
-@dataclass(frozen=True)
-class PaddedSpec:
-    """Use the n-network as a C^(N'-1)-NOT by pinning surplus controls to 1."""
-
-    base: SynthesisSpec
-    active_controls: int
-    pinned: frozenset[QubitRef] = field(init=False)
-
-    def __post_init__(self):
-        budget = self.base.control_count
-        if not 2 <= self.active_controls <= budget:
-            raise CircuitError(
-                f"active control count {self.active_controls} outside 2..{budget}"
-            )
-        surplus = budget - self.active_controls
-        object.__setattr__(
-            self, "pinned", frozenset(_pin_order(self.base.n)[:surplus])
-        )
+def control_target_masks(n: int) -> tuple[int, int]:
+    """Controls a_0, b_l, c_l and target a_{2^n} of the n-network, as bit masks."""
+    roles = mqg_roles(n)
+    control = sum(
+        1 << i for i, ref in enumerate(roles) if ref.role in "BC" or ref == QubitRef("A", 0)
+    )
+    return control, 1 << roles.index(QubitRef("A", 2**n))
 
 
-def synth_padded(p: PaddedSpec) -> tuple[Circuit, frozenset[QubitRef]]:
-    """The unmodified network plus the set of controls to hold at 1."""
-    return synth_mqg_network(p.base), p.pinned
+def pin_mask(n: int, active: int) -> int:
+    """Controls to hold at 1 so the n-network acts as a C^active-NOT.
+
+    Surplus controls are pinned from the highest row down, c before b;
+    a_0 is never pinned.
+    """
+    budget = 2 ** (n + 1) + 1
+    if not 2 <= active <= budget:
+        raise CircuitError(f"active control count {active} outside 2..{budget}")
+    roles = mqg_roles(n)
+    order = [roles.index(QubitRef(r, l)) for l in range(2**n, 0, -1) for r in "CB"]
+    return sum(1 << i for i in order[: budget - active])
 
 
 def baseline_roles(m_controls: int) -> tuple[QubitRef, ...]:
@@ -122,22 +76,16 @@ def synth_baseline_dirty(m_controls: int) -> Circuit:
     if m_controls < 3:
         raise CircuitError(f"need at least 3 controls, got {m_controls}")
     m = m_controls
-    c = {i: QubitRef("C", i) for i in range(1, m + 1)}
-    x = {i: QubitRef("D", i) for i in range(1, m - 1)}
-    t = QubitRef("A", 0)
+    # Flat indices in baseline_roles order: c_i = i-1, x_i = m+i-1, t = 2m-2.
+    c = {i: i - 1 for i in range(1, m + 1)}
+    x = {i: m + i - 1 for i in range(1, m - 1)}
+    t = 2 * m - 2
 
-    down = [Toffoli(c[m], x[m - 2], t)]
-    down += [Toffoli(c[i + 2], x[i], x[i + 1]) for i in range(m - 3, 0, -1)]
-    peak = Toffoli(c[1], c[2], x[1])
-    gates = (
-        down + [peak] + down[::-1] + down[1:] + [peak] + down[:0:-1]
-    )
-
-    roles = baseline_roles(m)
-    circuit = Circuit(len(roles), roles)
-    for g in gates:
-        circuit = push_layer(circuit, [g])
-    return circuit
+    down = [(c[m], x[m - 2], t)]
+    down += [(c[i + 2], x[i], x[i + 1]) for i in range(m - 3, 0, -1)]
+    peak = (c[1], c[2], x[1])
+    gates = down + [peak] + down[::-1] + down[1:] + [peak] + down[:0:-1]
+    return Circuit(baseline_roles(m), tuple((g,) for g in gates))
 
 
 @dataclass(frozen=True)
@@ -153,16 +101,16 @@ class ComparisonRow:
 
 def table1_compare(n: int) -> ComparisonRow:
     """Formula row cross-checked against the actual constructions."""
-    spec = SynthesisSpec(n)
-    N = spec.simulated_gate_qubits
+    # N in the C^(N-1)-NOT being simulated: controls + target.
+    N = 2 ** (n + 1) + 2
     row = ComparisonRow(
         N=N,
         proposed_units=2 * N - 4,
-        proposed_qubits=spec.qubit_count,
+        proposed_qubits=2 ** (n + 2) + 1,
         baseline_units=4 * (N - 3),
         baseline_qubits=2 * N - 3,
     )
-    proposed = metrics(synth_mqg_network(spec))
+    proposed = metrics(synth_mqg_network(n))
     baseline = metrics(synth_baseline_dirty(N - 1))
     if proposed.mqg_count != row.proposed_units:
         raise CircuitError(

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from mqgsim.circuit import Circuit, QubitRef, metrics, mqg_roles
+from mqgsim.circuit import Circuit, QubitRef, metrics
 from mqgsim.gf2 import block_A, block_Z, closed_form_outputs, verify_appendix
 from mqgsim.nmr import (
     LatticeConfig,
@@ -18,33 +18,29 @@ from mqgsim.nmr import (
     target_terms,
     verify_identity,
 )
-from mqgsim.sim import all_outputs, oracle_trace, run_all, run_anf, trace_blocks
+from mqgsim.sim import (
+    all_outputs,
+    mcx_oracle,
+    oracle_trace,
+    run_all,
+    run_anf,
+    trace_blocks,
+)
 from mqgsim.synthesis import (
-    PaddedSpec,
-    SynthesisSpec,
+    pin_mask,
     synth_baseline_dirty,
     synth_mqg_network,
-    synth_padded,
     table1_compare,
 )
+from network_reference import mcx_table, network_masks
 
 
 def network(n):
-    return synth_mqg_network(SynthesisSpec(n))
+    return synth_mqg_network(n)
 
 
-def control_target_masks(n):
-    roles = mqg_roles(n)
-    idx = {ref: i for i, ref in enumerate(roles)}
-    mask = 1 << idx[QubitRef("A", 0)]
-    for l in range(1, 2**n + 1):
-        mask |= (1 << idx[QubitRef("B", l)]) | (1 << idx[QubitRef("C", l)])
-    return mask, 1 << idx[QubitRef("A", 2**n)]
-
-
-def closed_form_reference(n):
-    mask, target = control_target_masks(n)
-    return lambda s: s ^ target if (s & mask) == mask else s
+def oracle(n):
+    return mcx_oracle(*network_masks(n))
 
 
 def report(num, name, ok):
@@ -54,7 +50,7 @@ def report(num, name, ok):
 
 def test_criterion_1_exhaustive_n1():
     t0 = time.monotonic()
-    rep = run_all(network(1), closed_form_reference(1))
+    rep = run_all(network(1), oracle(1))
     elapsed = time.monotonic() - t0
     ok = rep.passed and rep.states_checked == 512 and elapsed < 1.0
     report(1, f"exhaustive equivalence n=1 ({elapsed:.2f}s)", ok)
@@ -62,7 +58,7 @@ def test_criterion_1_exhaustive_n1():
 
 def test_criterion_2_exhaustive_n2():
     t0 = time.monotonic()
-    rep = run_all(network(2), closed_form_reference(2))
+    rep = run_all(network(2), oracle(2))
     elapsed = time.monotonic() - t0
     ok = rep.passed and rep.states_checked == 131072 and elapsed < 30.0
     report(2, f"exhaustive equivalence n=2 ({elapsed:.2f}s)", ok)
@@ -116,14 +112,9 @@ def test_criterion_5_table1_and_baseline():
     for m in (3, 4, 5):
         c = synth_baseline_dirty(m)
         M = c.num_qubits
-        control_mask = (1 << m) - 1
-        target_mask = 1 << (M - 1)
-        outs = all_outputs(c)
-        states = np.arange(1 << M, dtype=np.uint64)
-        expected = np.where(
-            (states & control_mask) == control_mask, states ^ target_mask, states
-        )
-        ok &= bool(np.array_equal(outs, expected))
+        # Controls first, target last (baseline_roles order).
+        expected = mcx_table((1 << m) - 1, 1 << (M - 1), M)
+        ok &= bool(np.array_equal(all_outputs(c), expected))
     report(5, "unit-count formulas and dirty-ancilla baseline m=3,4,5", ok)
 
 
@@ -131,7 +122,7 @@ def test_criterion_6_ancilla_independence():
     ok = True
     for n in (1, 2):
         c = network(n)
-        idx = c.index_of
+        idx = {ref: i for i, ref in enumerate(c.roles)}
         m = 2**n
         anc_bits = [idx[QubitRef("A", l)] for l in range(1, m)] + [
             idx[QubitRef("D", l)] for l in range(1, m + 1)
@@ -185,10 +176,10 @@ def test_criterion_7_nmr_identities():
 def test_criterion_8_mutation_sensitivity():
     ok = True
     c = network(1)
-    ref = closed_form_reference(1)
+    ref = oracle(1)
     for drop in range(len(c.layers)):
         layers = c.layers[:drop] + c.layers[drop + 1 :]
-        rep = run_all(Circuit(c.num_qubits, c.roles, layers), ref)
+        rep = run_all(Circuit(c.roles, layers), ref)
         ok &= not rep.passed
 
     rng = np.random.default_rng(77)
@@ -206,22 +197,15 @@ def test_criterion_8_mutation_sensitivity():
 
 def test_criterion_9_padding():
     ok = True
-    spec = SynthesisSpec(1)
+    circuit = network(1)
+    M = circuit.num_qubits
+    control_mask, target_mask = network_masks(1)
+    outs = all_outputs(circuit)
     for active in (2, 3, 4):
-        circuit, pinned = synth_padded(PaddedSpec(spec, active))
-        idx = circuit.index_of
-        pinned_mask = sum(1 << idx[p] for p in pinned)
-        control_mask, target_mask = control_target_masks(1)
-        active_mask = control_mask & ~pinned_mask
-        outs = all_outputs(circuit)
-        checked = 0
-        for word in range(1 << circuit.num_qubits):
-            if (word & pinned_mask) != pinned_mask:
-                continue
-            expected = (
-                word ^ target_mask if (word & active_mask) == active_mask else word
-            )
-            ok &= int(outs[word]) == expected
-            checked += 1
-        ok &= checked == 1 << (circuit.num_qubits - len(pinned))
+        pinned = pin_mask(1, active)
+        ok &= bin(control_mask & ~pinned).count("1") == active
+        expected = mcx_oracle(control_mask & ~pinned, target_mask).outputs(M)
+        held = [s for s in range(1 << M) if s & pinned == pinned]
+        ok &= len(held) == 1 << (M - bin(pinned).count("1"))
+        ok &= bool(np.array_equal(outs[held], expected[held]))
     report(9, "padded networks act as smaller multi-controlled NOTs", ok)

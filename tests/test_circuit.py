@@ -7,88 +7,91 @@ from mqgsim.circuit import (
     CircuitParseError,
     LayerDisjointnessError,
     QubitRef,
-    Toffoli,
-    apply_gate,
-    make_circuit,
     metrics,
     mqg_roles,
     parse,
-    push_layer,
     serialize,
 )
 from mqgsim.sim import run_basis
-from mqgsim.synthesis import SynthesisSpec, synth_mqg_network
+from mqgsim.synthesis import synth_mqg_network
 
 A0 = QubitRef("A", 0)
-C1 = QubitRef("C", 1)
-D1 = QubitRef("D", 1)
-B1 = QubitRef("B", 1)
-A1 = QubitRef("A", 1)
 
-
-def roles_for(n):
-    return {i: ref for i, ref in enumerate(mqg_roles(n))}
+THREE_WIRES = "MQGC1\nqubits 3\nrole 0 A0\nrole 1 B1\nrole 2 C1\n"
 
 
 def test_make_circuit_empty():
-    c = make_circuit(9, roles_for(1))
+    c = Circuit(mqg_roles(1))
     assert c.num_qubits == 9
     assert c.layers == ()
 
 
 def test_make_circuit_single_qubit():
-    c = make_circuit(1, {0: A0})
+    c = Circuit((A0,))
     assert c.num_qubits == 1
 
 
 def test_make_circuit_missing_index():
-    roles = roles_for(1)
-    del roles[4]
-    with pytest.raises(CircuitError):
-        make_circuit(9, roles)
+    # Eight role lines for nine declared qubits.
+    text = serialize(Circuit(mqg_roles(1)))
+    lines = text.splitlines()
+    del lines[6]
+    with pytest.raises(CircuitParseError):
+        parse("\n".join(lines) + "\n")
 
 
 def test_make_circuit_duplicate_label():
     with pytest.raises(CircuitError):
-        make_circuit(2, {0: A0, 1: A0})
+        Circuit((A0, A0))
 
 
 def test_push_layer_disjoint_accepted():
-    c = make_circuit(9, roles_for(1))
-    c = push_layer(
-        c,
-        [
-            Toffoli(A0, C1, D1),
-            Toffoli(A1, QubitRef("C", 2), QubitRef("D", 2)),
-        ],
-    )
+    # T(a_0, c_1 -> d_1) and T(a_1, c_2 -> d_2) share no wire.
+    c = Circuit(mqg_roles(1), (((0, 2, 3), (4, 6, 7)),))
     assert metrics(c).toffoli_count == 2
 
 
 def test_push_layer_overlap_rejected():
-    c = make_circuit(9, roles_for(1))
-    with pytest.raises(LayerDisjointnessError):
-        push_layer(c, [Toffoli(A0, C1, D1), Toffoli(C1, B1, A1)])
+    with pytest.raises(LayerDisjointnessError) as exc:
+        Circuit(mqg_roles(1), (((0, 2, 3), (2, 1, 4)),))
+    assert (exc.value.layer, exc.value.gate) == (0, 1)
+
+
+@pytest.mark.parametrize(
+    "layers",
+    [
+        ((),),  # empty layer
+        (((0, 2, 9),),),  # wire out of range
+        (((0, 2),),),  # two wires
+        (((0, 1, 2),), ((0, 2, 3), (8, 5, 8))),  # repeated wire, second layer
+    ],
+)
+def test_circuit_rejects_bad_layers(layers):
+    with pytest.raises(CircuitError):
+        Circuit(mqg_roles(1), layers)
 
 
 def test_gate_duplicate_wire_rejected():
     with pytest.raises(CircuitError):
-        Toffoli(A0, A0, D1)
+        Circuit(mqg_roles(1), (((0, 0, 3),),))
 
 
 def test_apply_gate_truth_table():
-    g = Toffoli(A0, C1, D1)
-    bits = {A0: 1, C1: 1, D1: 0}
-    assert apply_gate(bits, g)[D1] == 1
-    bits = {A0: 1, C1: 0, D1: 1}
-    assert apply_gate(bits, g)[D1] == 1
+    c = Circuit((A0, QubitRef("C", 1), QubitRef("D", 1)), (((0, 1, 2),),))
+    assert run_basis(c, (1, 1, 0)) == (1, 1, 1)
+    assert run_basis(c, (1, 0, 1)) == (1, 0, 1)
 
 
 def test_apply_gate_involution():
-    g = Toffoli(A0, C1, D1)
+    c = Circuit((A0, QubitRef("C", 1), QubitRef("D", 1)), (((0, 1, 2),),))
     for word in range(8):
-        bits = {A0: word & 1, C1: (word >> 1) & 1, D1: (word >> 2) & 1}
-        assert apply_gate(apply_gate(bits, g), g) == bits
+        bits = tuple((word >> i) & 1 for i in range(3))
+        assert run_basis(c, run_basis(c, bits)) == bits
+
+
+def test_masks_of_gates():
+    c = Circuit(mqg_roles(1), (((0, 2, 3), (4, 6, 7)), ((1, 3, 4),)))
+    assert c.masks == (((1, 4, 8), (16, 64, 128)), ((2, 8, 16),))
 
 
 @pytest.mark.parametrize(
@@ -96,19 +99,18 @@ def test_apply_gate_involution():
     [(1, 9, 8, 16), (2, 17, 16, 64)],
 )
 def test_metrics_of_network(n, qubits, layers, gates):
-    m = metrics(synth_mqg_network(SynthesisSpec(n)))
+    m = metrics(synth_mqg_network(n))
     assert (m.qubit_count, m.mqg_count, m.toffoli_count) == (qubits, layers, gates)
-    assert m.depth == m.mqg_count
 
 
 def test_metrics_empty():
-    m = metrics(make_circuit(9, roles_for(1)))
+    m = metrics(Circuit(mqg_roles(1)))
     assert m.mqg_count == 0 and m.toffoli_count == 0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_metrics_formulas(n):
-    m = metrics(synth_mqg_network(SynthesisSpec(n)))
+    m = metrics(synth_mqg_network(n))
     assert m.toffoli_count == 2 ** (2 * n + 2)
     assert m.mqg_count == 2 ** (n + 2)
     N = 2 ** (n + 1) + 2
@@ -116,12 +118,12 @@ def test_metrics_formulas(n):
 
 
 def test_serialize_minimal():
-    text = serialize(make_circuit(1, {0: A0}))
+    text = serialize(Circuit((A0,)))
     assert text == "MQGC1\nqubits 1\nrole 0 A0\n"
 
 
 def test_serialize_network_counts():
-    text = serialize(synth_mqg_network(SynthesisSpec(1)))
+    text = serialize(synth_mqg_network(1))
     lines = text.splitlines()
     assert lines.count("layer") == 8
     assert sum(1 for ln in lines if ln.startswith("toff ")) == 16
@@ -129,12 +131,12 @@ def test_serialize_network_counts():
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_roundtrip_network(n):
-    c = synth_mqg_network(SynthesisSpec(n))
+    c = synth_mqg_network(n)
     assert parse(serialize(c)) == c
 
 
 def test_parse_serialize_identity_on_text():
-    text = serialize(synth_mqg_network(SynthesisSpec(1)))
+    text = serialize(synth_mqg_network(1))
     assert serialize(parse(text)) == text
 
 
@@ -153,6 +155,16 @@ def test_parse_duplicate_ref_rejected():
         ("MQGC1\nqubits 1\nrole 0 A0\nbogus\n", 4),
         ("MQGC1\nqubits 1\nrole 0 A0\ntoff 0 0 0\n", 4),
         ("MQGC1\nqubits 2\nrole 0 A0\nrole 1 B1\nlayer\ntoff 0 1 5\n", 6),
+        # Non-canonical spellings: serialize would write each differently.
+        ("MQGC1\nqubits 1\nrole 0 A01\n", 3),
+        ("MQGC1\nqubits 1\nrole 0 A\u0661\n", 3),
+        ("MQGC1\nqubits +1\nrole 0 A0\n", 2),
+        (f"{THREE_WIRES}layer\ntoff +0 1 2\n", 7),
+        ("MQGC1\nqubits 1  \nrole 0 A0\n", 2),
+        ("MQGC1\r\nqubits 1\r\nrole 0 A0\r\n", 1),
+        ("MQGC1\nqubits 1\nrole 0 A0", 3),
+        (f"{THREE_WIRES}layer\n", 6),
+        (f"{THREE_WIRES}layer\ntoff 0 1 2\n\n", 8),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line):
@@ -172,8 +184,48 @@ def test_parse_rejects_overlapping_layer():
 
 @given(st.integers(min_value=0, max_value=511), st.integers(min_value=0, max_value=7))
 def test_layer_involution(word, layer_idx):
-    c = synth_mqg_network(SynthesisSpec(1))
+    c = synth_mqg_network(1)
     layer = c.layers[layer_idx]
-    single = Circuit(c.num_qubits, c.roles, (layer,))
+    single = Circuit(c.roles, (layer,))
     bits = tuple((word >> i) & 1 for i in range(9))
     assert run_basis(single, run_basis(single, bits)) == bits
+
+
+@st.composite
+def circuits(draw):
+    width = draw(st.integers(3, 10))
+    labels = draw(
+        st.lists(
+            st.tuples(st.sampled_from("ABCD"), st.integers(0, 120)),
+            min_size=width,
+            max_size=width,
+            unique=True,
+        )
+    )
+    layers = []
+    for _ in range(draw(st.integers(0, 4))):
+        wires = draw(st.permutations(range(width)))
+        gates = draw(st.integers(1, width // 3))
+        layers.append(tuple(tuple(wires[3 * g : 3 * g + 3]) for g in range(gates)))
+    return Circuit(tuple(QubitRef(r, i) for r, i in labels), tuple(layers))
+
+
+@given(circuits())
+def test_roundtrip_random_circuits(c):
+    text = serialize(c)
+    assert parse(text) == c
+    assert serialize(parse(text)) == text
+
+
+@given(circuits(), st.data())
+def test_parse_accepts_only_canonical_text(c, data):
+    # Any text parse accepts must be exactly what serialize writes for it.
+    text = serialize(c)
+    pos = data.draw(st.integers(0, len(text)))
+    insert = data.draw(st.sampled_from([" ", "0", "1", "+", "-", "\r", "\n", "\t", "\u0661", "A"]))
+    edited = text[:pos] + insert + text[pos:]
+    try:
+        parsed = parse(edited)
+    except CircuitParseError:
+        return
+    assert serialize(parsed) == edited

@@ -18,7 +18,7 @@ def test_synth_writes_file(tmp_path, capsys):
     text = out.read_text()
     assert text.startswith("MQGC1\nqubits 9\n")
     assert text.count("layer") == 8
-    assert "mqg_count=8" in err
+    assert err == "qubits=9 mqg_count=8 toffoli_count=16\n"
 
 
 def test_synth_n2_counts(tmp_path, capsys):
@@ -77,6 +77,25 @@ def test_verify_symbolic_n3(capsys):
     payload = json.loads(stdout)
     assert payload["report"]["mode"] == "symbolic"
     assert payload["report"]["pass"] is True
+    # Equal ANFs prove all 2^33 inputs of the 33-wire network.
+    assert payload["report"]["states_checked"] == 1 << 33
+
+
+def test_verify_report_shape_same_in_both_modes(tmp_path, capsys):
+    out = tmp_path / "c.mqgc"
+    run_cli(capsys, "synth", "--n", "1", "--out", str(out))
+    lines = out.read_text().splitlines()
+    del lines[-3:]
+    out.write_text("\n".join(lines) + "\n")
+    reports = {}
+    for mode in ("exhaustive", "symbolic"):
+        code, stdout, _ = run_cli(capsys, "verify", "--circuit", str(out), "--mode", mode)
+        assert code == 1
+        reports[mode] = json.loads(stdout)["report"]
+    for mode, rep in reports.items():
+        assert set(rep) == {"mode", "states_checked", "pass", "counterexample"}
+        assert (rep["mode"], rep["states_checked"], rep["pass"]) == (mode, 512, False)
+    assert set(reports["symbolic"]["counterexample"]) == {"wire", "expected", "actual"}
 
 
 def test_compare_rows(capsys):
@@ -130,6 +149,14 @@ def test_nmr_verify_explicit_couplings(capsys):
 def test_nmr_verify_bad_flags(capsys):
     code, _, err = run_cli(capsys, "nmr-verify", "--rows", "1")
     assert code == 2
+
+
+@pytest.mark.parametrize("flag,value", [("--tol", "-1e-10"), ("--t", "-0.7")])
+def test_nmr_verify_rejects_negative(capsys, flag, value):
+    code, stdout, err = run_cli(capsys, "nmr-verify", "--kind", "1", f"{flag}={value}")
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: ")
 
 
 def test_trace_text_output(capsys):

@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mqgsim.circuit import QubitRef
+from mqgsim.circuit import QubitRef, mqg_roles
 from mqgsim.gf2 import (
     Anf,
     block_A,
@@ -98,15 +98,15 @@ def test_text_form():
 
 
 def test_closed_form_n1():
-    out = closed_form_outputs(1)
-    assert out[QubitRef("A", 2)] == control_product(1) ^ variable(1, QubitRef("A", 2))
-    assert out[QubitRef("D", 1)] == variable(1, QubitRef("D", 1))
-    assert out[QubitRef("B", 2)] == variable(1, QubitRef("B", 2))
+    out = closed_form_outputs(1)  # flat order A0 B1 C1 D1 A1 B2 C2 D2 A2
+    assert out[8] == control_product(1) ^ variable(1, QubitRef("A", 2))
+    assert out[3] == variable(1, QubitRef("D", 1))
+    assert out[5] == variable(1, QubitRef("B", 2))
 
 
 def test_closed_form_n2_target_degree():
     out = closed_form_outputs(2)
-    target = out[QubitRef("A", 4)]
+    target = out[16]  # A4
     degrees = sorted(len(m) for m in target.monomials)
     assert degrees == [1, 9]
 
@@ -116,7 +116,8 @@ def test_closed_form_matches_brute_force(n):
     # Independent oracle: flip the target bit iff every control is 1.
     out = closed_form_outputs(n)
     m = 2**n
-    refs = list(out)
+    refs = mqg_roles(n)
+    assert sorted(out) == list(range(len(refs)))
     controls = [QubitRef("A", 0)] + [
         QubitRef(r, l) for l in range(1, m + 1) for r in ("B", "C")
     ]
@@ -136,7 +137,7 @@ def test_closed_form_matches_brute_force(n):
             expected = assign[idx[ref]]
             if ref == QubitRef("A", m):
                 expected ^= flip
-            assert out[ref].evaluate(assign) == expected
+            assert out[idx[ref]].evaluate(assign) == expected
 
 
 def test_block_base_cases():

@@ -1,20 +1,15 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
-from mqgsim.circuit import (
-    Circuit,
-    CircuitError,
-    MqgLayer,
-    QubitRef,
-    Toffoli,
-    make_circuit,
-    mqg_roles,
-)
+from mqgsim.circuit import Circuit, CircuitError, QubitRef, mqg_roles
 from mqgsim.gf2 import Anf, closed_form_outputs
 from mqgsim.sim import (
-    BlockTrace,
     all_outputs,
     bits_to_word,
+    check_anf,
+    mcx_oracle,
     oracle_trace,
     run_all,
     run_anf,
@@ -23,21 +18,16 @@ from mqgsim.sim import (
     trace_blocks,
     word_to_bits,
 )
-from mqgsim.synthesis import SynthesisSpec, synth_mqg_network
+from mqgsim.synthesis import synth_mqg_network
+from network_reference import mcx_table, network_masks
 
 
 def network(n):
-    return synth_mqg_network(SynthesisSpec(n))
+    return synth_mqg_network(n)
 
 
-def closed_form_reference(n):
-    roles = mqg_roles(n)
-    idx = {ref: i for i, ref in enumerate(roles)}
-    mask = 1 << idx[QubitRef("A", 0)]
-    for l in range(1, 2**n + 1):
-        mask |= (1 << idx[QubitRef("B", l)]) | (1 << idx[QubitRef("C", l)])
-    target = 1 << idx[QubitRef("A", 2**n)]
-    return lambda s: s ^ target if (s & mask) == mask else s
+def oracle(n):
+    return mcx_oracle(*network_masks(n))
 
 
 def test_run_basis_all_controls():
@@ -57,7 +47,7 @@ def test_run_basis_identity_when_b1_zero():
 
 
 def test_run_basis_empty_circuit():
-    c = make_circuit(9, {i: r for i, r in enumerate(mqg_roles(1))})
+    c = Circuit(mqg_roles(1))
     bits = (1, 0, 1, 0, 1, 0, 1, 0, 1)
     assert run_basis(c, bits) == bits
 
@@ -69,23 +59,31 @@ def test_run_basis_width_mismatch():
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_run_all_matches_closed_form(n):
-    rep = run_all(network(n), closed_form_reference(n))
+    rep = run_all(network(n), oracle(n))
     assert rep.passed
     assert rep.states_checked == 1 << (2 ** (n + 2) + 1)
 
 
 def test_run_all_mutation_gives_counterexample():
     c = network(1)
-    mutated = Circuit(c.num_qubits, c.roles, c.layers[:-1])
-    rep = run_all(mutated, closed_form_reference(1))
+    mutated = Circuit(c.roles, c.layers[:-1])
+    rep = run_all(mutated, oracle(1))
     assert not rep.passed
     assert rep.counterexample is not None
     assert set(rep.counterexample) == {"input", "expected", "actual"}
 
 
+def test_run_all_rejects_non_bijection(monkeypatch):
+    import mqgsim.sim
+
+    monkeypatch.setattr(mqgsim.sim, "all_outputs", lambda c: np.zeros(512, np.uint64))
+    with pytest.raises(CircuitError, match="bijection"):
+        run_all(network(1), oracle(1))
+
+
 def test_run_all_refuses_large_width():
     with pytest.raises(CircuitError, match="run_anf"):
-        run_all(network(3), closed_form_reference(3))
+        run_all(network(3), oracle(3))
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -95,14 +93,10 @@ def test_network_is_involution(n):
 
 
 def test_run_anf_single_toffoli():
-    roles = {0: QubitRef("A", 0), 1: QubitRef("C", 1), 2: QubitRef("D", 1)}
-    c = make_circuit(3, roles)
-    from mqgsim.circuit import push_layer
-
-    c = push_layer(c, [Toffoli(roles[0], roles[1], roles[2])])
+    c = Circuit((QubitRef("A", 0), QubitRef("C", 1), QubitRef("D", 1)), (((0, 1, 2),),))
     out = run_anf(c)
-    assert out[roles[2]] == Anf.var(2) ^ (Anf.var(0) & Anf.var(1))
-    assert out[roles[0]] == Anf.var(0)
+    assert out[2] == Anf.var(2) ^ (Anf.var(0) & Anf.var(1))
+    assert out[0] == Anf.var(0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -133,8 +127,8 @@ def test_statevector_unitary_on_random_state():
 def test_statevector_superposition_matches_ideal_gate():
     # Uniform superposition over control patterns, work wires fixed at 0.
     c = network(1)
-    ref = closed_form_reference(1)
-    idx = c.index_of
+    table = mcx_table(*network_masks(1), 9)
+    idx = {ref: i for i, ref in enumerate(c.roles)}
     control_bits = [idx[QubitRef("A", 0)]] + [
         idx[QubitRef(r, l)] for l in (1, 2) for r in "BC"
     ]
@@ -147,8 +141,7 @@ def test_statevector_superposition_matches_ideal_gate():
         state[word] = 1.0
     state /= np.linalg.norm(state)
     ideal = np.zeros_like(state)
-    for s in range(1 << 9):
-        ideal[ref(s)] = state[s]
+    ideal[table] = state
     assert np.allclose(run_statevector(c, state), ideal, atol=1e-12)
 
 
@@ -159,10 +152,8 @@ def test_statevector_dimension_mismatch():
 
 def test_layer_order_within_layer_is_irrelevant():
     c = network(1)
-    reversed_layers = tuple(
-        MqgLayer(tuple(reversed(layer.gates))) for layer in c.layers
-    )
-    c_rev = Circuit(c.num_qubits, c.roles, reversed_layers)
+    reversed_layers = tuple(tuple(reversed(layer)) for layer in c.layers)
+    c_rev = Circuit(c.roles, reversed_layers)
     assert np.array_equal(all_outputs(c), all_outputs(c_rev))
 
 
@@ -196,16 +187,20 @@ def test_trace_blocks_matches_oracle_randomized(n):
 
 def test_trace_blocks_rejects_foreign_circuit():
     c = network(1)
-    mutated = Circuit(c.num_qubits, c.roles, c.layers[:-1])
+    mutated = Circuit(c.roles, c.layers[:-1])
     with pytest.raises(CircuitError):
         trace_blocks(mutated, 1, (0,) * 9)
+    swapped = Circuit(c.roles, c.layers[1:2] + c.layers[:1] + c.layers[2:])
+    with pytest.raises(CircuitError):
+        trace_blocks(swapped, 1, (0,) * 9)
+    with pytest.raises(CircuitError):
+        trace_blocks(c, 2, (0,) * 9)
 
 
 def test_backend_agreement_n1():
     c = network(1)
     outs = all_outputs(c)
     anf_out = run_anf(c)
-    idx = c.index_of
     perm = np.arange(1 << 9, dtype=np.uint64)
     rng = np.random.default_rng(5)
     for word in rng.integers(0, 1 << 9, size=100):
@@ -214,9 +209,9 @@ def test_backend_agreement_n1():
         basis = bits_to_word(run_basis(c, bits))
         assert basis == int(outs[word])
         symbolic = 0
-        for ref, poly in anf_out.items():
+        for i, poly in anf_out.items():
             if poly.evaluate(bits):
-                symbolic |= 1 << idx[ref]
+                symbolic |= 1 << i
         assert symbolic == basis
         state = np.zeros(1 << 9, dtype=complex)
         state[word] = 1.0
@@ -224,13 +219,41 @@ def test_backend_agreement_n1():
 
 
 def test_equiv_report_json_schema():
-    rep = run_all(network(1), closed_form_reference(1))
-    import json
-
-    data = json.loads(rep.to_json())
-    assert data == {
+    # One report shape for both modes; symbolic counts every input it proves.
+    exhaustive = asdict(run_all(network(1), oracle(1)))
+    assert exhaustive == {
         "mode": "exhaustive",
         "states_checked": 512,
-        "pass": True,
+        "passed": True,
         "counterexample": None,
     }
+    c = network(1)
+    symbolic = asdict(check_anf(run_anf(c), oracle(1), c.roles))
+    assert symbolic == dict(exhaustive, mode="symbolic")
+
+
+def test_check_anf_reports_first_bad_wire():
+    c = network(1)
+    mutated = Circuit(c.roles, c.layers[:-1])
+    rep = check_anf(run_anf(mutated), oracle(1), c.roles)
+    assert not rep.passed
+    assert rep.states_checked == 512
+    assert set(rep.counterexample) == {"wire", "expected", "actual"}
+    assert rep.counterexample["wire"] in {ref.label for ref in c.roles}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_mcx_oracle_matches_reference(n):
+    control, target = network_masks(n)
+    width = 2 ** (n + 2) + 1
+    assert np.array_equal(
+        mcx_oracle(control, target).outputs(width), mcx_table(control, target, width)
+    )
+    assert mcx_oracle(control, target).anf(width) == closed_form_outputs(n)
+
+
+def test_mcx_oracle_rejects_overlapping_masks():
+    with pytest.raises(CircuitError):
+        mcx_oracle(0b011, 0b010)
+    with pytest.raises(CircuitError):
+        mcx_oracle(0b011, 0)

@@ -1,62 +1,66 @@
+import numpy as np
 import pytest
 
-from mqgsim.circuit import CircuitError, QubitRef, Toffoli, metrics
+from mqgsim.circuit import CircuitError, QubitRef, metrics, mqg_roles
 from mqgsim.sim import all_outputs
 from mqgsim.synthesis import (
-    PaddedSpec,
-    SynthesisSpec,
+    control_target_masks,
+    pin_mask,
     synth_baseline_dirty,
     synth_mqg_network,
-    synth_padded,
     table1_compare,
 )
+from network_reference import mcx_table, network_masks
 
 
-def T(c1, c2, t):
-    return Toffoli(QubitRef(*c1), QubitRef(*c2), QubitRef(*t))
+def T(roles, c1, c2, t):
+    return tuple(roles.index(QubitRef(*ref)) for ref in (c1, c2, t))
 
 
 def test_spec_derived_quantities():
-    spec = SynthesisSpec(2)
-    assert spec.rows == 4
-    assert spec.qubit_count == 17
-    assert spec.control_count == 9
-    assert spec.simulated_gate_qubits == 10
+    c = synth_mqg_network(2)
+    assert len(c.layers[0]) == 4  # rows
+    assert c.num_qubits == 17
+    control, target = control_target_masks(2)
+    assert bin(control).count("1") == 9
+    assert (control, target) == network_masks(2)
+    assert table1_compare(2).N == 10  # simulated gate qubits
 
 
 def test_spec_rejects_n_zero():
     with pytest.raises(CircuitError):
-        SynthesisSpec(0)
+        synth_mqg_network(0)
 
 
 def test_network_layer_structure_n1():
-    c = synth_mqg_network(SynthesisSpec(1))
+    c = synth_mqg_network(1)
+    roles = mqg_roles(1)
     assert len(c.layers) == 8
-    type1 = (T(("A", 0), ("C", 1), ("D", 1)), T(("A", 1), ("C", 2), ("D", 2)))
-    type2 = (T(("B", 1), ("D", 1), ("A", 1)), T(("B", 2), ("D", 2), ("A", 2)))
+    type1 = (T(roles, ("A", 0), ("C", 1), ("D", 1)), T(roles, ("A", 1), ("C", 2), ("D", 2)))
+    type2 = (T(roles, ("B", 1), ("D", 1), ("A", 1)), T(roles, ("B", 2), ("D", 2), ("A", 2)))
     for i, layer in enumerate(c.layers):
-        assert layer.gates == (type1 if i % 2 == 0 else type2)
+        assert layer == (type1 if i % 2 == 0 else type2)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_network_layer_support(n):
-    c = synth_mqg_network(SynthesisSpec(n))
+    c = synth_mqg_network(n)
     for layer in c.layers:
-        assert len(layer.support) == 3 * 2**n
+        assert len({w for gate in layer for w in gate}) == 3 * 2**n
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_network_never_targets_controls(n):
-    c = synth_mqg_network(SynthesisSpec(n))
-    targets = {g.target for layer in c.layers for g in layer.gates}
+    c = synth_mqg_network(n)
+    targets = {c.roles[t] for layer in c.layers for _, _, t in layer}
     assert QubitRef("A", 0) not in targets
     assert not any(t.role in ("B", "C") for t in targets)
 
 
 def test_network_all_controls_one():
     # Only the target flips when every control is 1 and the rest start at 0.
-    c = synth_mqg_network(SynthesisSpec(1))
-    idx = c.index_of
+    c = synth_mqg_network(1)
+    idx = {ref: i for i, ref in enumerate(c.roles)}
     word = 0
     for ref in [QubitRef("A", 0)] + [QubitRef(r, l) for l in (1, 2) for r in "BC"]:
         word |= 1 << idx[ref]
@@ -65,9 +69,8 @@ def test_network_all_controls_one():
 
 
 def test_network_identity_when_a_control_is_zero():
-    c = synth_mqg_network(SynthesisSpec(1))
-    idx = c.index_of
-    c2_bit = 1 << idx[QubitRef("C", 2)]
+    c = synth_mqg_network(1)
+    c2_bit = 1 << c.roles.index(QubitRef("C", 2))
     outs = all_outputs(c)
     for word in range(1 << 9):
         if not word & c2_bit:
@@ -84,23 +87,22 @@ def test_network_identity_when_a_control_is_zero():
     ],
 )
 def test_padding_pin_policy(active, pinned_labels):
-    circuit, pinned = synth_padded(PaddedSpec(SynthesisSpec(1), active))
-    assert {p.label for p in pinned} == pinned_labels
-    assert circuit == synth_mqg_network(SynthesisSpec(1))
+    mask = pin_mask(1, active)
+    assert {ref.label for i, ref in enumerate(mqg_roles(1)) if mask >> i & 1} == pinned_labels
 
 
 def test_padding_rejects_out_of_range():
     with pytest.raises(CircuitError):
-        PaddedSpec(SynthesisSpec(1), 6)
+        pin_mask(1, 6)
     with pytest.raises(CircuitError):
-        PaddedSpec(SynthesisSpec(1), 1)
+        pin_mask(1, 1)
 
 
 def test_baseline_m3_gate_list():
     c = synth_baseline_dirty(3)
-    gates = [g for layer in c.layers for g in layer.gates]
-    t_gate = T(("C", 3), ("D", 1), ("A", 0))
-    peak = T(("C", 1), ("C", 2), ("D", 1))
+    gates = [g for layer in c.layers for g in layer]
+    t_gate = T(c.roles, ("C", 3), ("D", 1), ("A", 0))
+    peak = T(c.roles, ("C", 1), ("C", 2), ("D", 1))
     assert gates == [t_gate, peak, t_gate, peak]
 
 
@@ -119,17 +121,14 @@ def test_baseline_rejects_small_m():
 def test_baseline_exhaustive_with_dirty_ancillas(m):
     c = synth_baseline_dirty(m)
     M = c.num_qubits
-    control_mask = (1 << m) - 1
-    target_mask = 1 << (M - 1)
-    outs = all_outputs(c)
-    for word in range(1 << M):
-        expected = word ^ target_mask if (word & control_mask) == control_mask else word
-        assert int(outs[word]) == expected
+    # Controls first, target last (baseline_roles order).
+    expected = mcx_table((1 << m) - 1, 1 << (M - 1), M)
+    assert np.array_equal(all_outputs(c), expected)
 
 
 def test_baseline_dirty_example_m4():
     c = synth_baseline_dirty(4)
-    idx = c.index_of
+    idx = {ref: i for i, ref in enumerate(c.roles)}
     word = 0b1111  # controls all 1
     word |= (1 << idx[QubitRef("D", 1)]) | (1 << idx[QubitRef("D", 2)])  # dirty
     out = int(all_outputs(c)[word])
