@@ -40,9 +40,9 @@ from .nmr import (
     RefocusSequence,
     SpinRef,
     ZZTerm,
-    apply_sequence,
     build_hamiltonian,
     canonical_sequence,
     effective_evolution,
+    sequence_action,
     verify_identity,
 )

@@ -5,12 +5,11 @@ classes a..f. All Hamiltonian terms are diagonal ZZ products, so free
 evolution segments commute exactly; a refocusing sequence interleaves four
 evolution segments with simultaneous pi-pulses on whole frequency classes,
 cancelling every coupling except one, which survives at 4t. Both the sign
-algebra and the dense state-vector application are exact, so the check
-tolerance is pure floating-point slack.
+algebra and the basis action (each basis state's image and phase) are
+exact, so the check tolerance is pure floating-point slack.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -18,11 +17,13 @@ import numpy as np
 
 PULSE_CLASSES = ("A_odd", "A_even", "B", "C", "D_odd", "D_even")
 
-COUPLING_LABELS = ("a", "b", "c", "d", "e", "f")
-
 # Coupling isolated by each sequence kind (the right-hand side of the
 # identity the sequence realizes).
 KIND_TARGET = {1: "a", 2: "b", 3: "c", 4: "d", 5: "e", 6: "f"}
+
+# Largest lattice the numerics will take: about 56 bytes per basis state at
+# peak, so `nmr-verify --kind 1 --rows 6` (24 spins) reaches 932 MB RSS.
+SPIN_LIMIT = 24
 
 
 class LatticeError(ValueError):
@@ -33,13 +34,6 @@ class LatticeError(ValueError):
 class SpinRef:
     role: str  # A, B, C or D
     row: int
-
-    @property
-    def pulse_class(self) -> str:
-        if self.role in ("A", "D"):
-            parity = "odd" if self.row % 2 == 1 else "even"
-            return f"{self.role}_{parity}"
-        return self.role
 
     def __repr__(self) -> str:
         return f"{self.role}{self.row}"
@@ -65,6 +59,8 @@ class LatticeConfig:
             raise LatticeError(f"need at least 2 rows, got {self.rows}")
         if len(self.couplings) != 6:
             raise LatticeError("expected six couplings (a, b, c, d, e, f)")
+        if not all(math.isfinite(c) for c in self.couplings):
+            raise LatticeError(f"couplings must be finite, got {self.couplings}")
         if self.boundary not in ("periodic", "open"):
             raise LatticeError(f"unknown boundary {self.boundary!r}")
 
@@ -175,24 +171,20 @@ class EffectiveEvolution:
     net_flips: frozenset[SpinRef] = frozenset()
 
 
-def _cumulative_flips(seq: RefocusSequence, cfg: LatticeConfig) -> list[frozenset[SpinRef]]:
-    """Flip sets seen by each of the four evolution segments.
+def effective_evolution(seq: RefocusSequence, cfg: LatticeConfig) -> EffectiveEvolution:
+    """Exact sign bookkeeping: which ZZ terms survive the four segments.
 
     Segment s evolves under the Hamiltonian conjugated by the product of
-    the pulses applied after it (P_{s+1}..P4 act first on the ket), i.e.
-    Z_i picks up a sign when spin i is flipped an odd number of times.
+    the pulses P1..P_{s-1} before it in U = E P1 E P2 E P3 E P4, i.e. Z_i
+    picks up a sign when spin i is flipped an odd number of times there.
     """
-    sets = [frozenset()]
-    acc: frozenset[SpinRef] = frozenset()
-    for group in seq.groups[:3]:
-        acc = acc ^ group.spins(cfg)
-        sets.append(acc)
-    return sets
-
-
-def effective_evolution(seq: RefocusSequence, cfg: LatticeConfig) -> EffectiveEvolution:
-    """Exact sign bookkeeping: which ZZ terms survive the four segments."""
-    flips = _cumulative_flips(seq, cfg)
+    flips = [frozenset()]
+    pulsed = 0
+    for group in seq.groups:
+        spins = group.spins(cfg)
+        flips.append(flips[-1] ^ spins)
+        pulsed += len(spins)
+    net = flips.pop()
     surviving = []
     table = []
     for term in build_hamiltonian(cfg):
@@ -213,32 +205,33 @@ def effective_evolution(seq: RefocusSequence, cfg: LatticeConfig) -> EffectiveEv
             surviving.append(
                 ZZTerm(term.i, term.j, total * seq.t * term.coeff, term.coupling, term.row)
             )
-
-    net: frozenset[SpinRef] = frozenset()
-    pulsed = 0
-    for group in seq.groups:
-        spins = group.spins(cfg)
-        net = net ^ spins
-        pulsed += len(spins)
-    phase = (-1j) ** pulsed
-    return EffectiveEvolution(tuple(surviving), complex(phase), tuple(table), net)
+    return EffectiveEvolution(tuple(surviving), complex((-1j) ** pulsed), tuple(table), net)
 
 
-def _z_values(cfg: LatticeConfig) -> np.ndarray:
-    """(2^spins, spins) array of Z eigenvalues; bit 0 of the index <-> +1."""
-    dim = 1 << cfg.num_spins
-    idx = np.arange(dim, dtype=np.uint32)
-    bits = (idx[:, None] >> np.arange(cfg.num_spins)[None, :]) & 1
-    return 1.0 - 2.0 * bits
+def _energy(terms, num_spins: int) -> np.ndarray:
+    """sum coeff Z_i Z_j at every basis state; bit k of the index is spin k.
 
-
-def _diagonal_phase(terms, cfg: LatticeConfig, t: float) -> np.ndarray:
-    """exp(-i t sum coeff Z_i Z_j) as a diagonal over all basis states."""
-    z = _z_values(cfg)
-    energy = np.zeros(1 << cfg.num_spins)
-    for term in terms:
-        energy += term.coeff * z[:, spin_index(term.i)] * z[:, spin_index(term.j)]
-    return np.exp(-1j * t * energy)
+    Built one spin at a time: adding spin k doubles the array, and the
+    terms whose higher spin is k add +field or -field to the two halves,
+    where field(s) = sum coeff Z_i(s) over their lower spins i, read from
+    the bits of s. Every array of the numerics is sized here first, so the
+    spin limit is enforced before any of them is allocated.
+    """
+    if num_spins > SPIN_LIMIT:
+        raise LatticeError(
+            f"{num_spins} spins is over the limit of {SPIN_LIMIT} "
+            f"({1 << num_spins} basis states)"
+        )
+    energy = np.zeros(1)
+    for k in range(num_spins):
+        low = np.arange(energy.size)
+        field = np.zeros(energy.size)
+        for term in terms:
+            i, j = sorted((spin_index(term.i), spin_index(term.j)))
+            if j == k:
+                field += term.coeff * (1.0 - 2.0 * ((low >> i) & 1))
+        energy = np.concatenate((energy + field, energy - field))
+    return energy
 
 
 def pulse_operator(group: PulseGroup, cfg: LatticeConfig) -> tuple[int, complex]:
@@ -250,54 +243,49 @@ def pulse_operator(group: PulseGroup, cfg: LatticeConfig) -> tuple[int, complex]
     return mask, complex((-1j) ** len(spins))
 
 
-def apply_sequence(seq: RefocusSequence, cfg: LatticeConfig, state: np.ndarray) -> np.ndarray:
-    """Exact application of U = E P1 E P2 E P3 E P4 to a state vector."""
-    dim = 1 << cfg.num_spins
-    if state.shape != (dim,):
-        raise LatticeError(f"state dimension {state.shape} != ({dim},)")
-    evo = _diagonal_phase(build_hamiltonian(cfg), cfg, seq.t)
-    idx = np.arange(dim)
-    out = state
+def sequence_action(seq: RefocusSequence, cfg: LatticeConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Exact action U|s> = phase[s] |image[s]> of U = E P1 E P2 E P3 E P4.
+
+    A pi-pulse sends |s> to a constant phase times |s ^ mask>, and a free
+    evolution E multiplies |s> by exp(-i t E(s)), so U maps each basis
+    state to one basis state. Only the pulse masks and the Hamiltonian are
+    read, never the sign algebra, so the two stay independent checks.
+    """
+    energy = _energy(build_hamiltonian(cfg), cfg.num_spins)
+    image = np.arange(energy.size)
+    angle = np.zeros(energy.size)
+    pulse_phase = complex(1.0)
     for group in reversed(seq.groups):
         mask, phase = pulse_operator(group, cfg)
-        out = phase * out[idx ^ mask]
-        out = evo * out
-    return out
+        image ^= mask
+        angle += energy[image]
+        pulse_phase *= phase
+    phase = np.exp(-1j * seq.t * angle)
+    phase *= pulse_phase
+    return image, phase
+
+
+def _spin_bits(state: int, num_spins: int) -> str:
+    """Basis state as 0/1 characters, spin index 0 first."""
+    return format(state, f"0{num_spins}b")[::-1]
 
 
 @dataclass(frozen=True)
 class VerifyReport:
+    """One identity's verdict; the fields are the JSON keys of nmr-verify."""
+
     kind: int
+    target_coupling: str
     rows: int
     boundary: str
     couplings: tuple[float, ...]
     t: float
-    trials: int
-    seed: int
-    min_fidelity: float
-    global_phase: complex
+    max_deviation: float | None  # None when some basis state is moved
+    counterexample: dict | None  # first failing basis state; None on pass
+    global_phase: tuple[float, float]  # (real, imag)
     sign_table: tuple[dict, ...]
     matches_published: bool
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "rows": self.rows,
-            "boundary": self.boundary,
-            "couplings": list(self.couplings),
-            "t": self.t,
-            "trials": self.trials,
-            "seed": self.seed,
-            "min_fidelity": self.min_fidelity,
-            "global_phase": [self.global_phase.real, self.global_phase.imag],
-            "sign_table": list(self.sign_table),
-            "matches_published": self.matches_published,
-            "pass": self.passed,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
 
 def target_terms(kind: int, cfg: LatticeConfig) -> list[ZZTerm]:
@@ -310,32 +298,29 @@ def verify_identity(
     kind: int,
     cfg: LatticeConfig,
     t: float,
-    trials: int = 20,
     tol: float = 1e-10,
-    seed: int = 0,
     sequence: RefocusSequence | None = None,
 ) -> VerifyReport:
-    """Compare the sequence's numerics against the refocused evolution.
+    """Compare the sequence's exact basis action with the refocused evolution.
 
-    Random normalized states are pushed through the full pulse sequence and
-    through e^(-i sum surviving ZZ) built from the independent sign algebra;
-    fidelity is the global-phase-invariant overlap magnitude. A mutated
-    sequence whose net pulse product is not the identity can never match a
-    pure diagonal evolution, so it fails. ``matches_published`` records
+    The sequence passes when it fixes every basis state s and gives it the
+    phase phi(s) = g d(s) up to ``tol``, where d is the diagonal of
+    e^(-i sum surviving ZZ) from the independent sign algebra and
+    g = phi(0)/d(0) is the global phase. ``counterexample`` names the first
+    failing state, with its image if it is moved (as by a mutated sequence
+    whose net pulse product is not the identity) or else its deviation.
+    ``matches_published`` records
     whether the surviving set is exactly the one coupling class at 4t that
     the kind is meant to isolate (true on every even-row or open lattice;
     an odd periodic ring has a parity seam that defeats kinds 3 and 6).
     ``sequence`` overrides the canonical pulses for mutation tests.
     """
-    if trials < 1:
-        raise LatticeError(f"need at least one trial, got {trials}")
     if not 0.0 <= t < math.inf:
         raise LatticeError(f"evolution time t must be finite and >= 0, got {t}")
     if not 0.0 <= tol < math.inf:
         raise LatticeError(f"tolerance must be finite and >= 0, got {tol}")
     seq = canonical_sequence(kind, t) if sequence is None else sequence
     eff = effective_evolution(seq, cfg)
-    target_diag = _diagonal_phase(eff.surviving, cfg, 1.0)
     published = {
         (t2.i, t2.j): 4.0 * t * t2.coeff for t2 in target_terms(kind, cfg)
     }
@@ -346,30 +331,35 @@ def verify_identity(
         and not eff.net_flips
     )
 
-    dim = 1 << cfg.num_spins
-    min_fid = 1.0
-    phase = complex(1.0)
-    for trial in range(trials):
-        rng = np.random.default_rng([seed, trial])
-        state = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        state /= np.linalg.norm(state)
-        actual = apply_sequence(seq, cfg, state)
-        target = target_diag * state
-        overlap = np.vdot(target, actual)
-        if trial == 0:
-            phase = complex(overlap / abs(overlap)) if abs(overlap) > 0 else 0j
-        min_fid = min(min_fid, abs(overlap))
+    n = cfg.num_spins
+    image, phase = sequence_action(seq, cfg)
+    target = np.exp(-1j * _energy(eff.surviving, n))
+    g = complex(phase[0] / target[0])
+    max_deviation = counterexample = None
+    moved = np.flatnonzero(image != np.arange(image.size))
+    if moved.size:
+        s = int(moved[0])
+        counterexample = {"state": _spin_bits(s, n), "image": _spin_bits(int(image[s]), n)}
+    else:
+        target *= g
+        phase -= target  # in place: the deviation, with no extra 2^N temporaries
+        deviation = np.abs(phase)
+        max_deviation = float(deviation.max())
+        bad = np.flatnonzero(~(deviation <= tol))  # an overflow to NaN fails too
+        if bad.size:
+            s = int(bad[0])
+            counterexample = {"state": _spin_bits(s, n), "deviation": float(deviation[s])}
     return VerifyReport(
         kind=kind,
+        target_coupling=KIND_TARGET[kind],
         rows=cfg.rows,
         boundary=cfg.boundary,
         couplings=cfg.couplings,
         t=t,
-        trials=trials,
-        seed=seed,
-        min_fidelity=float(min_fid),
-        global_phase=phase,
+        max_deviation=max_deviation,
+        counterexample=counterexample,
+        global_phase=(g.real, g.imag),
         sign_table=eff.sign_table,
         matches_published=matches_published,
-        passed=bool(min_fid >= 1.0 - tol),
+        passed=counterexample is None,
     )

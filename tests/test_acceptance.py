@@ -146,7 +146,7 @@ def test_criterion_6_ancilla_independence():
 def test_criterion_7_nmr_identities():
     t0 = time.monotonic()
     ok = True
-    worst = 1.0
+    worst = 0.0
     for rows in (2, 3):
         for boundary in ("periodic", "open"):
             for draw in range(5):
@@ -154,11 +154,10 @@ def test_criterion_7_nmr_identities():
                 cfg = LatticeConfig(rows, tuple(rng.uniform(0.2, 2.0, 6)), boundary)
                 for t in (0.3, 0.7, 1.9):
                     for kind in range(1, 7):
-                        rep = verify_identity(
-                            kind, cfg, t=t, trials=20, tol=1e-10, seed=draw
-                        )
+                        rep = verify_identity(kind, cfg, t=t, tol=1e-10)
                         ok &= rep.passed
-                        worst = min(worst, rep.min_fidelity)
+                        if rep.max_deviation is not None:
+                            worst = max(worst, rep.max_deviation)
                         # Sign algebra must agree with the numerics, and must
                         # reduce to the published single-coupling form away
                         # from the odd-ring parity seam.
@@ -168,7 +167,7 @@ def test_criterion_7_nmr_identities():
     ok &= elapsed < 120.0
     report(
         7,
-        f"six refocusing identities, min fidelity {worst:.3e} ({elapsed:.1f}s)",
+        f"six refocusing identities, max deviation {worst:.3e} ({elapsed:.1f}s)",
         ok,
     )
 
@@ -190,7 +189,7 @@ def test_criterion_8_mutation_sensitivity():
             groups = list(seq.groups)
             groups[gi] = PulseGroup(group.classes - {cls})
             mutated = RefocusSequence(0.7, tuple(groups), kind=1)
-            rep = verify_identity(1, cfg, t=0.7, trials=5, seed=1, sequence=mutated)
+            rep = verify_identity(1, cfg, t=0.7, sequence=mutated)
             ok &= not rep.passed
     report(8, "single-layer and single-pulse deletions all detected", ok)
 

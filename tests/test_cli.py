@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from mqgsim import nmr
 from mqgsim.cli import main
 
 
@@ -144,11 +145,31 @@ def test_nmr_verify_explicit_couplings(capsys):
     assert code == 0
     identity = json.loads(stdout)["report"]["identities"][0]
     assert identity["couplings"] == [1, 0.5, 0.25, 2, 1.5, 0.75]
+    assert identity["pass"] is True and identity["counterexample"] is None
+    assert identity["max_deviation"] <= 1e-10
+    assert not {"trials", "seed", "min_fidelity", "passed"} & identity.keys()
+
+
+def test_nmr_verify_trials_has_no_effect(capsys):
+    args = ["nmr-verify", "--kind", "2", "--rows", "2", "--seed", "3"]
+    _, out1, _ = run_cli(capsys, *args)
+    _, out2, _ = run_cli(capsys, *args, "--trials", "2")
+    assert json.loads(out1)["report"] == json.loads(out2)["report"]
+
+
+def test_nmr_verify_over_spin_limit(capsys, monkeypatch):
+    monkeypatch.setattr(nmr, "SPIN_LIMIT", 8)
+    code, stdout, err = run_cli(capsys, "nmr-verify", "--kind", "1", "--rows", "3")
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: 12 spins is over the limit of 8")
 
 
 def test_nmr_verify_bad_flags(capsys):
     code, _, err = run_cli(capsys, "nmr-verify", "--rows", "1")
     assert code == 2
+    code, _, err = run_cli(capsys, "nmr-verify", "--couplings", "nan", "1", "1", "1", "1", "1")
+    assert code == 2 and err.startswith("error: couplings must be finite")
 
 
 @pytest.mark.parametrize("flag,value", [("--tol", "-1e-10"), ("--t", "-0.7")])
