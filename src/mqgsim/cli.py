@@ -12,8 +12,6 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .circuit import CircuitError, CircuitParseError, metrics, mqg_roles, parse, serialize
 from .nmr import LatticeConfig, verify_identity
@@ -115,6 +113,8 @@ def cmd_nmr_verify(args) -> int:
     if args.couplings is not None:
         couplings = tuple(args.couplings)
     else:
+        import numpy as np
+
         rng = np.random.default_rng(args.seed)
         couplings = tuple(float(x) for x in rng.uniform(0.2, 2.0, size=6))
     cfg = LatticeConfig(rows=args.rows, couplings=couplings, boundary=args.boundary)

@@ -1,10 +1,10 @@
 """Exact GF(2) algebra over wire variables.
 
-Anf is a multilinear polynomial stored as a set of monomials (each a
-frozenset of flat wire indices). The module also holds the closed-form
-output law of the layered network and the per-block recurrences for the
-intermediate values A_l(k), Z_l(k), which serve as an independent oracle
-for the simulator backends.
+Anf is a multilinear polynomial stored as a set of monomials, each an int
+bit mask with bit v set for flat wire index v. The module also holds the
+closed-form output law of the layered network and the per-block
+recurrences for the intermediate values A_l(k), Z_l(k), which serve as an
+independent oracle for the simulator backends.
 """
 from __future__ import annotations
 
@@ -13,37 +13,61 @@ from functools import lru_cache
 
 from .circuit import QubitRef, mqg_roles
 
-Monomial = frozenset
+
+def _bits(mask: int) -> tuple[int, ...]:
+    """The set bits of ``mask``, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 class Anf:
     """Polynomial over GF(2): XOR of AND-monomials, canonical by set identity.
 
-    The empty monomial is the constant 1; the empty polynomial is 0.
+    The constructor takes monomials as iterables of variable indices; each
+    is stored as a bit mask. The empty monomial (mask 0) is the constant 1;
+    the empty polynomial is 0.
     """
 
-    __slots__ = ("monomials",)
+    __slots__ = ("monomials", "_factors")
 
     def __init__(self, monomials=()):
-        self.monomials = frozenset(frozenset(m) for m in monomials)
+        masks = set()
+        for m in monomials:
+            mask = 0
+            for v in m:
+                mask |= 1 << v
+            masks.add(mask)
+        self.monomials = frozenset(masks)
+        self._factors = None
+
+    @classmethod
+    def _of(cls, masks: frozenset) -> "Anf":
+        poly = cls.__new__(cls)
+        poly.monomials = masks
+        poly._factors = None
+        return poly
 
     @classmethod
     def zero(cls) -> "Anf":
-        return cls()
+        return cls._of(frozenset())
 
     @classmethod
     def one(cls) -> "Anf":
-        return cls([frozenset()])
+        return cls._of(frozenset((0,)))
 
     @classmethod
     def var(cls, v: int) -> "Anf":
-        return cls([frozenset([v])])
+        return cls._of(frozenset((1 << v,)))
 
     def __xor__(self, other: "Anf") -> "Anf":
-        return Anf(self.monomials ^ other.monomials)
+        return Anf._of(self.monomials ^ other.monomials)
 
     def __and__(self, other: "Anf") -> "Anf":
-        acc: set[frozenset] = set()
+        acc: set[int] = set()
         for p in self.monomials:
             for q in other.monomials:
                 m = p | q
@@ -51,7 +75,7 @@ class Anf:
                     acc.remove(m)
                 else:
                     acc.add(m)
-        return Anf(acc)
+        return Anf._of(frozenset(acc))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Anf) and self.monomials == other.monomials
@@ -62,27 +86,28 @@ class Anf:
     def __bool__(self) -> bool:
         return bool(self.monomials)
 
-    def variables(self) -> frozenset:
-        return frozenset().union(*self.monomials) if self.monomials else frozenset()
-
     def evaluate(self, assignment) -> int:
         """XOR over monomials of AND over variables; assignment must be total."""
+        if self._factors is None:
+            self._factors = tuple(_bits(m) for m in self.monomials)
         acc = 0
         try:
-            for m in self.monomials:
-                acc ^= all(assignment[v] for v in m)
+            for factors in self._factors:
+                for v in factors:
+                    if not assignment[v]:
+                        break
+                else:
+                    acc ^= 1
         except (KeyError, IndexError) as e:
             raise ValueError(f"assignment missing variable {e}") from e
-        return int(acc)
+        return acc
 
     def to_text(self, names=None) -> str:
         """Render as e.g. ``A0 B1 C1 + A2``; 0 and 1 literals."""
         if not self.monomials:
             return "0"
         name = (lambda v: names[v]) if names is not None else str
-        keyed = sorted(
-            (tuple(sorted(m)) for m in self.monomials), key=lambda t: (-len(t), t)
-        )
+        keyed = sorted((_bits(m) for m in self.monomials), key=lambda t: (-len(t), t))
         parts = [" ".join(name(v) for v in m) if m else "1" for m in keyed]
         return " + ".join(parts)
 

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 PULSE_CLASSES = ("A_odd", "A_even", "B", "C", "D_odd", "D_even")
 
@@ -222,6 +224,8 @@ def _energy(terms, num_spins: int) -> np.ndarray:
             f"{num_spins} spins is over the limit of {SPIN_LIMIT} "
             f"({1 << num_spins} basis states)"
         )
+    import numpy as np
+
     energy = np.zeros(1)
     for k in range(num_spins):
         low = np.arange(energy.size)
@@ -251,6 +255,8 @@ def sequence_action(seq: RefocusSequence, cfg: LatticeConfig) -> tuple[np.ndarra
     state to one basis state. Only the pulse masks and the Hamiltonian are
     read, never the sign algebra, so the two stay independent checks.
     """
+    import numpy as np
+
     energy = _energy(build_hamiltonian(cfg), cfg.num_spins)
     image = np.arange(energy.size)
     angle = np.zeros(energy.size)
@@ -319,6 +325,8 @@ def verify_identity(
         raise LatticeError(f"evolution time t must be finite and >= 0, got {t}")
     if not 0.0 <= tol < math.inf:
         raise LatticeError(f"tolerance must be finite and >= 0, got {tol}")
+    import numpy as np
+
     seq = canonical_sequence(kind, t) if sequence is None else sequence
     eff = effective_evolution(seq, cfg)
     published = {

@@ -1,23 +1,34 @@
 """Execution backends over a Circuit, and the reference they are checked against.
 
-Three ways to run the same circuit: per-basis-state bit pushing, symbolic
-GF(2) simulation (exact for any width), and dense state-vector application
-via the circuit's basis permutation. The single reference is
-``mcx_oracle``: a multi-controlled NOT given by a control mask and a target
-mask. The exhaustive check compares the whole truth table with it and the
-symbolic check compares output ANFs with it; both return an EquivReport.
+Four ways to run the same circuit: per-basis-state bit pushing, a
+bit-sliced truth table over all basis states at once, symbolic GF(2)
+simulation (exact for any width), and dense state-vector application via
+the circuit's basis permutation. The single reference is ``mcx_oracle``: a
+multi-controlled NOT given by a control mask and a target mask. The
+exhaustive check compares the whole truth table with it and the symbolic
+check compares output ANFs with it; both return an EquivReport.
+
+Bit-sliced truth tables are lists of Python ints, one column per wire:
+bit s of column i is the value of wire i in basis state s. A Toffoli is
+then ``col[t] ^= col[c1] & col[c2]``, applied to all 2^M states at once.
+Only the state-vector backend and its ``all_outputs`` word view use numpy,
+and they import it when called.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-import numpy as np
-
-from .circuit import Circuit, CircuitError, QubitRef, mqg_roles
+from .circuit import Circuit, CircuitError, Gate, QubitRef, mqg_roles
 from .gf2 import Anf, block_A, block_Z, variable
 from .synthesis import layer_templates
 
+if TYPE_CHECKING:
+    import numpy as np
+
+# A truth-table check holds three sets of M columns of 2^M bits at its
+# peak (outputs, the reverse pass and the identity, then the oracle), about
+# 3*M*2^M/8 bytes: 144 MB at 24 qubits.
 DEFAULT_EXHAUSTIVE_LIMIT = 24
 
 STATEVECTOR_LIMIT = 20
@@ -57,14 +68,67 @@ def run_basis(circuit: Circuit, bits: Sequence[int]) -> tuple[int, ...]:
     return word_to_bits(run_word(circuit, bits_to_word(bits)), circuit.num_qubits)
 
 
-def all_outputs(circuit: Circuit) -> np.ndarray:
-    """Vectorized truth table: outputs[s] = circuit applied to basis state s."""
-    states = np.arange(1 << circuit.num_qubits, dtype=np.uint64)
-    for layer in circuit.masks:
+# Bit i of each state 0..7 (one byte, state 0 in bit 0), for wires 0-2.
+_LOW_WIRE_BYTES = (0xAA, 0xCC, 0xF0)
+
+
+def wire_columns(width: int) -> list[int]:
+    """Bit-sliced identity map: bit s of column i is bit i of s.
+
+    Byte k of a column holds states 8k..8k+7. Wires 0-2 repeat one byte;
+    wire i >= 3 repeats 2^(i-3) zero bytes followed by 2^(i-3) 0xff bytes.
+    """
+    states = 1 << width
+    nbytes = max(states // 8, 1)
+    columns = []
+    for i in range(width):
+        if i < 3:
+            pattern = bytes((_LOW_WIRE_BYTES[i],))
+        else:
+            half = 1 << (i - 3)
+            pattern = b"\x00" * half + b"\xff" * half
+        columns.append(int.from_bytes(pattern * (nbytes // len(pattern)), "little"))
+    if states < 8:
+        columns = [c & ((1 << states) - 1) for c in columns]
+    return columns
+
+
+def _apply_layers(columns: list[int], layers: Iterable[tuple[Gate, ...]]) -> None:
+    for layer in layers:
         for c1, c2, t in layer:
-            both = np.uint64(c1 | c2)
-            states[(states & both) == both] ^= np.uint64(t)
-    return states
+            columns[t] ^= columns[c1] & columns[c2]
+
+
+def output_columns(circuit: Circuit) -> list[int]:
+    """Bit-sliced truth table: bit s of column i is wire i of the output for input s."""
+    columns = wire_columns(circuit.num_qubits)
+    _apply_layers(columns, circuit.layers)
+    return columns
+
+
+def _word_at(columns: Sequence[int], s: int) -> int:
+    """Row s of a bit-sliced table, as a basis-state word."""
+    word = 0
+    for i, column in enumerate(columns):
+        word |= (column >> s & 1) << i
+    return word
+
+
+def all_outputs(circuit: Circuit) -> np.ndarray:
+    """outputs[s] = circuit applied to basis state s, as uint64 words.
+
+    The numpy word view of ``output_columns``, for the state-vector backend.
+    """
+    import numpy as np
+
+    states = 1 << circuit.num_qubits
+    nbytes = max(states // 8, 1)
+    words = np.zeros(states, dtype=np.uint64)
+    for i, column in enumerate(output_columns(circuit)):
+        packed = np.frombuffer(column.to_bytes(nbytes, "little"), dtype=np.uint8)
+        bits = np.unpackbits(packed, count=states, bitorder="little")
+        words |= bits.astype(np.uint64) << np.uint64(i)
+    return words
 
 
 @dataclass(frozen=True)
@@ -75,12 +139,17 @@ class McxOracle:
     control: int
     target: int
 
-    def outputs(self, width: int) -> np.ndarray:
-        """The truth table over all 2^width basis states."""
-        states = np.arange(1 << width, dtype=np.uint64)
-        control = np.uint64(self.control)
-        states[(states & control) == control] ^= np.uint64(self.target)
-        return states
+    def columns(self, width: int) -> list[int]:
+        """The truth table over all 2^width basis states, bit-sliced."""
+        columns = wire_columns(width)
+        fires = (1 << (1 << width)) - 1
+        for i in range(width):
+            if self.control >> i & 1:
+                fires &= columns[i]
+        for i in range(width):
+            if self.target >> i & 1:
+                columns[i] ^= fires
+        return columns
 
     def anf(self, width: int) -> dict[int, Anf]:
         """The output ANF of every wire, keyed by flat index."""
@@ -123,30 +192,38 @@ def run_all(
     oracle: McxOracle,
     max_qubits: int = DEFAULT_EXHAUSTIVE_LIMIT,
 ) -> EquivReport:
-    """Exhaustive truth-table comparison; also asserts the map is a bijection."""
+    """Exhaustive bit-sliced truth-table comparison; the counterexample is the
+    lowest failing input.
+
+    Running the layers in reverse over the output columns must give back
+    the identity columns, which proves the computed map is a bijection.
+    """
     M = circuit.num_qubits
     if M > max_qubits:
         raise CircuitError(
             f"{M} qubits exceeds the exhaustive limit {max_qubits}; "
             "use run_anf for a symbolic check"
         )
-    outputs = all_outputs(circuit)
-    hit = np.zeros(1 << M, dtype=bool)
-    hit[outputs] = True
-    if not hit.all():
+    outputs = output_columns(circuit)
+    undone = list(outputs)
+    _apply_layers(undone, reversed(circuit.layers))
+    if undone != wire_columns(M):
         raise CircuitError("circuit output map is not a bijection")
-    expected = oracle.outputs(M)
-    bad = np.flatnonzero(outputs != expected)
-    if bad.size:
-        s = int(bad[0])
+    del undone
+    expected = oracle.columns(M)
+    bad = 0
+    for out, exp in zip(outputs, expected):
+        bad |= out ^ exp
+    if bad:
+        s = (bad & -bad).bit_length() - 1
         return EquivReport(
             mode="exhaustive",
             states_checked=1 << M,
             passed=False,
             counterexample={
                 "input": bitstring(s, M),
-                "expected": bitstring(int(expected[s]), M),
-                "actual": bitstring(int(outputs[s]), M),
+                "expected": bitstring(_word_at(expected, s), M),
+                "actual": bitstring(_word_at(outputs, s), M),
             },
         )
     return EquivReport(mode="exhaustive", states_checked=1 << M, passed=True)
@@ -193,6 +270,8 @@ def run_statevector(circuit: Circuit, state: np.ndarray) -> np.ndarray:
         )
     if state.shape != (1 << M,):
         raise CircuitError(f"state dimension {state.shape} != ({1 << M},) (2^qubits)")
+    import numpy as np
+
     out = np.empty_like(state)
     out[all_outputs(circuit)] = state
     return out

@@ -12,6 +12,11 @@ from dataclasses import dataclass
 
 from .circuit import Circuit, CircuitError, Gate, QubitRef, metrics, mqg_roles
 
+# Largest n the network builder takes. `synth --n 10` (4097 wires, 4096
+# layers) peaks at about 520 MB and each step up costs about 4x, so n = 11
+# would need about 2 GB.
+NETWORK_LIMIT = 10
+
 
 def layer_templates(n: int) -> tuple[tuple[Gate, ...], tuple[Gate, ...]]:
     """The two layer shapes of the n-network, as flat-index gates.
@@ -34,6 +39,11 @@ def layer_templates(n: int) -> tuple[tuple[Gate, ...], tuple[Gate, ...]]:
 
 def synth_mqg_network(n: int) -> Circuit:
     """Build the 2^(n+2)-layer network: the pair (type 1, type 2) 2^(n+1) times."""
+    if n > NETWORK_LIMIT:
+        raise CircuitError(
+            f"n={n} is over the network limit of {NETWORK_LIMIT} "
+            f"({2 ** (n + 2) + 1} wires)"
+        )
     return Circuit(mqg_roles(n), layer_templates(n) * 2 ** (n + 1))
 
 

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from mqgsim import nmr
+import mqgsim
+from mqgsim import nmr, synthesis
 from mqgsim.cli import main
 
 
@@ -10,6 +15,27 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# Runs main() on each argv in a fresh interpreter; the last stdout line is
+# the exit codes and whether numpy was imported.
+_PROBE = """
+import json, sys
+from mqgsim.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, "numpy" in sys.modules]))
+"""
+
+
+def probe(*argvs):
+    src = str(Path(mqgsim.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _PROBE, json.dumps(argvs)],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    return json.loads(done.stdout.splitlines()[-1])
 
 
 def test_synth_writes_file(tmp_path, capsys):
@@ -33,6 +59,48 @@ def test_synth_invalid_n(capsys):
     code, _, err = run_cli(capsys, "synth", "--n", "0")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synth", "--n", "3"],
+        ["verify", "--n", "3"],
+        ["trace", "--n", "3", "--input", "0" * 33],
+        ["compare", "--n", "3"],
+    ],
+)
+def test_over_network_limit_exit_2(capsys, monkeypatch, argv):
+    # A small patched limit, so a missing check still allocates little.
+    monkeypatch.setattr(synthesis, "NETWORK_LIMIT", 2)
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert stdout == ""
+    assert err == "error: n=3 is over the network limit of 2 (33 wires)\n"
+
+
+def test_circuit_commands_never_import_numpy(tmp_path):
+    n1, mutant = tmp_path / "n1.mqgc", tmp_path / "drop.mqgc"
+    main(["synth", "--n", "1", "--out", str(n1)])
+    mutant.write_text("".join(n1.read_text().splitlines(True)[:-3]))
+    codes, numpy_loaded = probe(
+        ["verify", "--n", "1"],
+        ["verify", "--n", "1", "--mode", "symbolic"],
+        ["verify", "--circuit", str(n1)],
+        ["verify", "--circuit", str(mutant)],
+        ["trace", "--n", "1", "--input", "111110000"],
+        ["synth", "--n", "1", "--out", str(tmp_path / "again.mqgc")],
+        ["compare", "--n", "2", "--all-up-to"],
+    )
+    assert codes == [0, 0, 0, 1, 0, 0, 0]
+    assert not numpy_loaded
+
+
+def test_nmr_verify_in_fresh_interpreter():
+    # nmr-verify still imports numpy when it needs it, and the probe sees it.
+    codes, numpy_loaded = probe(["nmr-verify", "--kind", "1", "--rows", "2", "--seed", "5"])
+    assert codes == [0]
+    assert numpy_loaded
 
 
 def test_verify_exhaustive_pass(tmp_path, capsys):

@@ -107,7 +107,7 @@ def test_closed_form_n1():
 def test_closed_form_n2_target_degree():
     out = closed_form_outputs(2)
     target = out[16]  # A4
-    degrees = sorted(len(m) for m in target.monomials)
+    degrees = sorted(m.bit_count() for m in target.monomials)
     assert degrees == [1, 9]
 
 

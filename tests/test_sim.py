@@ -2,24 +2,29 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mqgsim.circuit import Circuit, CircuitError, QubitRef, mqg_roles
 from mqgsim.gf2 import Anf, closed_form_outputs
 from mqgsim.sim import (
     all_outputs,
     bits_to_word,
+    bitstring,
     check_anf,
     mcx_oracle,
     oracle_trace,
+    output_columns,
     run_all,
     run_anf,
     run_basis,
     run_statevector,
+    run_word,
     trace_blocks,
+    wire_columns,
     word_to_bits,
 )
 from mqgsim.synthesis import synth_mqg_network
-from network_reference import mcx_table, network_masks
+from network_reference import mcx_table, network_masks, table_columns
 
 
 def network(n):
@@ -28,6 +33,39 @@ def network(n):
 
 def oracle(n):
     return mcx_oracle(*network_masks(n))
+
+
+def anf_columns(polys, width):
+    """Evaluate output ANFs on every basis state at once, bit-sliced.
+
+    A monomial is the AND of its factors' identity columns, the constant 1
+    is all ones, and a polynomial is the XOR of its monomials.
+    """
+    wires = wire_columns(width)
+    ones = (1 << (1 << width)) - 1
+    columns = []
+    for i in range(width):
+        column = 0
+        for m in polys[i].monomials:
+            term = ones
+            for v in range(width):
+                if m >> v & 1:
+                    term &= wires[v]
+            column ^= term
+        columns.append(column)
+    return columns
+
+
+@st.composite
+def small_circuits(draw):
+    """Random circuits on 3..10 wires: up to six layers of disjoint gates."""
+    width = draw(st.integers(3, 10))
+    layers = []
+    for _ in range(draw(st.integers(0, 6))):
+        wires = draw(st.permutations(range(width)))
+        gates = draw(st.integers(1, width // 3))
+        layers.append(tuple(tuple(wires[3 * g : 3 * g + 3]) for g in range(gates)))
+    return Circuit(tuple(QubitRef("A", i) for i in range(width)), tuple(layers))
 
 
 def test_run_basis_all_controls():
@@ -76,7 +114,8 @@ def test_run_all_mutation_gives_counterexample():
 def test_run_all_rejects_non_bijection(monkeypatch):
     import mqgsim.sim
 
-    monkeypatch.setattr(mqgsim.sim, "all_outputs", lambda c: np.zeros(512, np.uint64))
+    # Every input sent to the all-zero state.
+    monkeypatch.setattr(mqgsim.sim, "output_columns", lambda c: [0] * c.num_qubits)
     with pytest.raises(CircuitError, match="bijection"):
         run_all(network(1), oracle(1))
 
@@ -246,10 +285,52 @@ def test_check_anf_reports_first_bad_wire():
 def test_mcx_oracle_matches_reference(n):
     control, target = network_masks(n)
     width = 2 ** (n + 2) + 1
-    assert np.array_equal(
-        mcx_oracle(control, target).outputs(width), mcx_table(control, target, width)
-    )
+    columns = mcx_oracle(control, target).columns(width)
+    assert columns == table_columns(mcx_table(control, target, width), width)
     assert mcx_oracle(control, target).anf(width) == closed_form_outputs(n)
+    assert anf_columns(closed_form_outputs(n), width) == columns
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 11])
+def test_wire_columns_are_the_identity(width):
+    assert wire_columns(width) == table_columns(range(1 << width), width)
+
+
+@pytest.mark.parametrize("n,drop", [(1, None), (2, None), (1, 5)])
+def test_anf_matches_truth_table(n, drop):
+    # ANF and truth table are two exact views of one map; the layer-deletion
+    # mutant checks that they agree where the oracle is not met too.
+    c = network(n)
+    if drop is not None:
+        c = Circuit(c.roles, c.layers[:drop] + c.layers[drop + 1 :])
+    assert anf_columns(run_anf(c), c.num_qubits) == output_columns(c)
+
+
+@given(small_circuits(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_bit_sliced_backend_matches_run_word(c, data):
+    M = c.num_qubits
+    words = [run_word(c, s) for s in range(1 << M)]
+    assert output_columns(c) == table_columns(words, M)
+    gates = [g for layer in c.layers for g in layer]
+    if gates and data.draw(st.booleans()):
+        # The first gate alone as the oracle: passes on one-gate circuits.
+        c1, c2, t = gates[0]
+        control, target = (1 << c1) | (1 << c2), 1 << t
+    else:
+        target = data.draw(st.integers(1, (1 << M) - 1))
+        control = data.draw(st.integers(0, (1 << M) - 1)) & ~target
+    expected = mcx_table(control, target, M)
+    bad = [s for s in range(1 << M) if words[s] != expected[s]]
+    rep = run_all(c, mcx_oracle(control, target))
+    assert rep.passed == (not bad)
+    if bad:
+        s = bad[0]  # the lowest failing input
+        assert rep.counterexample == {
+            "input": bitstring(s, M),
+            "expected": bitstring(expected[s], M),
+            "actual": bitstring(words[s], M),
+        }
 
 
 def test_mcx_oracle_rejects_overlapping_masks():
