@@ -10,8 +10,9 @@ Role labels are only for the edges: the MQGC1 file format and text output.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 ROLES = ("A", "B", "C", "D")
 
@@ -53,18 +54,21 @@ class CircuitParseError(CircuitError):
         self.line = line
 
 
-@dataclass(frozen=True, order=True)
-class QubitRef:
+class QubitRef(namedtuple("QubitRef", "role index")):
     """A wire identified by role letter and row index, e.g. B3."""
 
-    role: str
-    index: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.role not in ROLES:
-            raise CircuitError(f"unknown role {self.role!r}")
-        if self.index < 0:
-            raise CircuitError(f"negative qubit index {self.index}")
+    def __new__(cls, role: str, index: int):
+        if role not in ROLES:
+            raise CircuitError(f"unknown role {role!r}")
+        if index < 0:
+            raise CircuitError(f"negative qubit index {index}")
+        return super().__new__(cls, role, index)
+
+    @classmethod
+    def _make(cls, fields) -> "QubitRef":
+        return cls(*fields)  # so _replace validates too
 
     @property
     def label(self) -> str:
@@ -98,27 +102,29 @@ def _check_layer(index: int, layer: tuple[Gate, ...], width: int) -> None:
         seen |= wires
 
 
-@dataclass(frozen=True)
-class Circuit:
+class Circuit(namedtuple("Circuit", "roles layers")):
     """Immutable circuit: role per flat index, plus layers of (c1, c2, t) gates.
 
     Construction checks that the roles are distinct and that every layer is
     non-empty, in range, and made of disjoint three-wire gates. Equal
     layers are checked once, so a network that repeats a few layer
-    templates costs a hash per layer.
+    templates costs a hash per layer. There are no ``__slots__``: the
+    instance ``__dict__`` holds the cached ``masks``.
     """
 
-    roles: tuple[QubitRef, ...]
-    layers: tuple[tuple[Gate, ...], ...] = ()
-
-    def __post_init__(self):
-        if len(set(self.roles)) != len(self.roles):
+    def __new__(cls, roles: tuple[QubitRef, ...], layers: tuple[tuple[Gate, ...], ...] = ()):
+        if len(set(roles)) != len(roles):
             raise CircuitError("role map is not a bijection (duplicate labels)")
         first: dict[tuple[Gate, ...], int] = {}
-        for i, layer in enumerate(self.layers):
+        for i, layer in enumerate(layers):
             first.setdefault(layer, i)
         for layer, i in first.items():
-            _check_layer(i, layer, len(self.roles))
+            _check_layer(i, layer, len(roles))
+        return super().__new__(cls, roles, layers)
+
+    @classmethod
+    def _make(cls, fields) -> "Circuit":
+        return cls(*fields)  # so _replace validates too
 
     @property
     def num_qubits(self) -> int:
@@ -133,8 +139,7 @@ class Circuit:
         )
 
 
-@dataclass(frozen=True)
-class Metrics:
+class Metrics(NamedTuple):
     qubit_count: int
     mqg_count: int
     toffoli_count: int

@@ -2,30 +2,18 @@
 
 Exit codes: 0 success/pass, 1 verification failure, 2 usage or parse error.
 All randomness flows from --seed, so identical invocations produce
-byte-identical JSON.
+byte-identical JSON. Each subcommand imports the modules it runs when it
+runs, so a circuit command never loads the NMR numerics and nmr-verify
+never loads the circuit stack.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
-from .circuit import CircuitError, CircuitParseError, metrics, mqg_roles, parse, serialize
-from .nmr import LatticeConfig, verify_identity
-from .sim import (
-    DEFAULT_EXHAUSTIVE_LIMIT,
-    bits_to_word,
-    check_anf,
-    mcx_oracle,
-    oracle_trace,
-    run_all,
-    run_anf,
-    trace_blocks,
-)
-from .synthesis import control_target_masks, synth_mqg_network, table1_compare
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -51,12 +39,14 @@ def _payload(args, command: str, report: dict) -> dict:
 
 
 def _report(report) -> dict:
-    rep = asdict(report)
+    rep = report._asdict()
     rep["pass"] = rep.pop("passed")
     return rep
 
 
 def _network_n(num_qubits: int) -> int:
+    from .circuit import CircuitError
+
     # invert M = 2^(n+2) + 1
     n = (num_qubits - 1).bit_length() - 3
     if n < 1 or 2 ** (n + 2) + 1 != num_qubits:
@@ -65,6 +55,9 @@ def _network_n(num_qubits: int) -> int:
 
 
 def cmd_synth(args) -> int:
+    from .circuit import metrics, serialize
+    from .synthesis import synth_mqg_network
+
     circuit = synth_mqg_network(args.n)
     text = serialize(circuit)
     if args.out:
@@ -81,6 +74,10 @@ def cmd_synth(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .circuit import CircuitError, mqg_roles, parse
+    from .sim import DEFAULT_EXHAUSTIVE_LIMIT, check_anf, mcx_oracle, run_all, run_anf
+    from .synthesis import control_target_masks, synth_mqg_network
+
     if args.circuit:
         circuit = parse(Path(args.circuit).read_text(encoding="utf-8"))
     else:
@@ -102,13 +99,17 @@ def cmd_verify(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from .synthesis import table1_compare
+
     ns = range(1, args.n + 1) if args.all_up_to else [args.n]
-    rows = [{"n": n, **asdict(table1_compare(n))} for n in ns]
+    rows = [{"n": n, **table1_compare(n)._asdict()} for n in ns]
     _emit(_payload(args, "compare", {"rows": rows}), args)
     return EXIT_OK
 
 
 def cmd_nmr_verify(args) -> int:
+    from .nmr import LatticeConfig, verify_identity
+
     kinds = range(1, 7) if args.kind == "all" else [int(args.kind)]
     if args.couplings is not None:
         couplings = tuple(args.couplings)
@@ -125,6 +126,10 @@ def cmd_nmr_verify(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    from .circuit import CircuitError
+    from .sim import bits_to_word, oracle_trace, trace_blocks
+    from .synthesis import synth_mqg_network
+
     n = args.n
     circuit = synth_mqg_network(n)
     if len(args.input) != circuit.num_qubits or set(args.input) - {"0", "1"}:
@@ -230,10 +235,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CircuitParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (CircuitError, ValueError, OSError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

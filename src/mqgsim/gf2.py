@@ -8,8 +8,8 @@ independent oracle for the simulator backends.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .circuit import QubitRef, mqg_roles
 
@@ -185,16 +185,14 @@ def closed_form_outputs(n: int) -> dict[int, Anf]:
     return out
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     name: str
     holds: bool
     lhs: str
     rhs: str
 
 
-@dataclass(frozen=True)
-class AppendixReport:
+class AppendixReport(NamedTuple):
     n: int
     checks: tuple[IdentityCheck, ...]
 

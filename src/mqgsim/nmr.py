@@ -11,8 +11,8 @@ exact, so the check tolerance is pure floating-point slack.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from collections import namedtuple
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     import numpy as np
@@ -32,8 +32,7 @@ class LatticeError(ValueError):
     """Invalid lattice or sequence parameters."""
 
 
-@dataclass(frozen=True, order=True)
-class SpinRef:
+class SpinRef(NamedTuple):
     role: str  # A, B, C or D
     row: int
 
@@ -48,23 +47,31 @@ def spin_index(ref: SpinRef) -> int:
     return 4 * (ref.row - 1) + _ROLE_OFFSET[ref.role]
 
 
-@dataclass(frozen=True)
-class LatticeConfig:
-    """Rows of (A, B, C, D) spins with couplings a..f per row."""
+class LatticeConfig(namedtuple("LatticeConfig", "rows couplings boundary")):
+    """Rows of (A, B, C, D) spins with couplings a..f per row; the boundary
+    is periodic or open."""
 
-    rows: int
-    couplings: tuple[float, float, float, float, float, float]
-    boundary: str = "periodic"  # periodic | open
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.rows < 2:
-            raise LatticeError(f"need at least 2 rows, got {self.rows}")
-        if len(self.couplings) != 6:
+    def __new__(
+        cls,
+        rows: int,
+        couplings: tuple[float, float, float, float, float, float],
+        boundary: str = "periodic",
+    ):
+        if rows < 2:
+            raise LatticeError(f"need at least 2 rows, got {rows}")
+        if len(couplings) != 6:
             raise LatticeError("expected six couplings (a, b, c, d, e, f)")
-        if not all(math.isfinite(c) for c in self.couplings):
-            raise LatticeError(f"couplings must be finite, got {self.couplings}")
-        if self.boundary not in ("periodic", "open"):
-            raise LatticeError(f"unknown boundary {self.boundary!r}")
+        if not all(math.isfinite(c) for c in couplings):
+            raise LatticeError(f"couplings must be finite, got {couplings}")
+        if boundary not in ("periodic", "open"):
+            raise LatticeError(f"unknown boundary {boundary!r}")
+        return super().__new__(cls, rows, couplings, boundary)
+
+    @classmethod
+    def _make(cls, fields) -> "LatticeConfig":
+        return cls(*fields)  # so _replace validates too
 
     @property
     def num_spins(self) -> int:
@@ -82,8 +89,7 @@ class LatticeConfig:
         return tuple(SpinRef(role, l) for l in rows)
 
 
-@dataclass(frozen=True)
-class ZZTerm:
+class ZZTerm(NamedTuple):
     i: SpinRef
     j: SpinRef
     coeff: float
@@ -112,16 +118,20 @@ def build_hamiltonian(cfg: LatticeConfig) -> list[ZZTerm]:
     return terms
 
 
-@dataclass(frozen=True)
-class PulseGroup:
+class PulseGroup(namedtuple("PulseGroup", "classes")):
     """Simultaneous pi-pulse about x on every spin of the listed classes."""
 
-    classes: frozenset[str]
+    __slots__ = ()
 
-    def __post_init__(self):
-        bad = self.classes - set(PULSE_CLASSES)
+    def __new__(cls, classes: frozenset[str]):
+        bad = classes - set(PULSE_CLASSES)
         if bad:
             raise LatticeError(f"unknown pulse classes {sorted(bad)}")
+        return super().__new__(cls, classes)
+
+    @classmethod
+    def _make(cls, fields) -> "PulseGroup":
+        return cls(*fields)  # so _replace validates too
 
     def spins(self, cfg: LatticeConfig) -> frozenset[SpinRef]:
         out: set[SpinRef] = set()
@@ -130,8 +140,7 @@ class PulseGroup:
         return frozenset(out)
 
 
-@dataclass(frozen=True)
-class RefocusSequence:
+class RefocusSequence(NamedTuple):
     """U = E P1 E P2 E P3 E P4 with E = free evolution for time t."""
 
     t: float
@@ -162,11 +171,10 @@ def canonical_sequence(kind: int, t: float) -> RefocusSequence:
     return RefocusSequence(t, (p_plain, p_extra, p_plain, p_extra), kind=kind)
 
 
-@dataclass(frozen=True)
-class EffectiveEvolution:
+class EffectiveEvolution(NamedTuple):
     surviving: tuple[ZZTerm, ...]  # coeff holds the accumulated 4t * coupling
     global_phase: complex
-    sign_table: tuple[dict, ...] = field(compare=False)
+    sign_table: tuple[dict, ...]
     # Nonempty iff the net pulse product is not the identity permutation
     # (only possible for mutated sequences); the diagonal picture then needs
     # this residual bit-flip on top.
@@ -276,8 +284,7 @@ def _spin_bits(state: int, num_spins: int) -> str:
     return format(state, f"0{num_spins}b")[::-1]
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     """One identity's verdict; the fields are the JSON keys of nmr-verify."""
 
     kind: int

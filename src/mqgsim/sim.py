@@ -16,8 +16,7 @@ and they import it when called.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from .circuit import Circuit, CircuitError, Gate, QubitRef, mqg_roles
 from .gf2 import Anf, block_A, block_Z, variable
@@ -131,16 +130,23 @@ def all_outputs(circuit: Circuit) -> np.ndarray:
     return words
 
 
-@dataclass(frozen=True)
-class McxOracle:
+class McxOracle(NamedTuple):
     """Reference multi-controlled NOT: XOR ``target`` into every state whose
     ``control`` bits are all 1; every other state is left alone."""
 
     control: int
     target: int
 
+    def _check_width(self, width: int) -> None:
+        if (self.control | self.target) >> width:
+            raise CircuitError(
+                f"oracle masks control {self.control:#x}, target {self.target:#x} "
+                f"do not fit {width} wires"
+            )
+
     def columns(self, width: int) -> list[int]:
         """The truth table over all 2^width basis states, bit-sliced."""
+        self._check_width(width)
         columns = wire_columns(width)
         fires = (1 << (1 << width)) - 1
         for i in range(width):
@@ -153,6 +159,7 @@ class McxOracle:
 
     def anf(self, width: int) -> dict[int, Anf]:
         """The output ANF of every wire, keyed by flat index."""
+        self._check_width(width)
         product = Anf.one()
         for i in range(width):
             if self.control >> i & 1:
@@ -172,8 +179,7 @@ def mcx_oracle(control_mask: int, target_mask: int) -> McxOracle:
     return McxOracle(control_mask, target_mask)
 
 
-@dataclass(frozen=True)
-class EquivReport:
+class EquivReport(NamedTuple):
     """Outcome of one equivalence check, in either mode.
 
     ``states_checked`` is 2^M in both modes: equal output ANFs prove every
@@ -202,7 +208,7 @@ def run_all(
     if M > max_qubits:
         raise CircuitError(
             f"{M} qubits exceeds the exhaustive limit {max_qubits}; "
-            "use run_anf for a symbolic check"
+            "use --mode symbolic"
         )
     outputs = output_columns(circuit)
     undone = list(outputs)
@@ -277,8 +283,7 @@ def run_statevector(circuit: Circuit, state: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class BlockTrace:
+class BlockTrace(NamedTuple):
     """Numeric (A_l(k), Z_l(k), D_l(k)) read off the running simulation."""
 
     l: int

@@ -8,7 +8,7 @@ controls of ``pin_mask`` at 1.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .circuit import Circuit, CircuitError, Gate, QubitRef, metrics, mqg_roles
 
@@ -98,8 +98,7 @@ def synth_baseline_dirty(m_controls: int) -> Circuit:
     return Circuit(baseline_roles(m), tuple((g,) for g in gates))
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(NamedTuple):
     """One unit-count comparison row; units follow 2N-4 vs 4(N-3)."""
 
     N: int

@@ -18,12 +18,12 @@ def run_cli(capsys, *argv):
 
 
 # Runs main() on each argv in a fresh interpreter; the last stdout line is
-# the exit codes and whether numpy was imported.
+# the exit codes and the names of the loaded modules.
 _PROBE = """
 import json, sys
 from mqgsim.cli import main
 codes = [main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps([codes, "numpy" in sys.modules]))
+print(json.dumps([codes, sorted(sys.modules)]))
 """
 
 
@@ -35,7 +35,8 @@ def probe(*argvs):
         [sys.executable, "-c", _PROBE, json.dumps(argvs)],
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
-    return json.loads(done.stdout.splitlines()[-1])
+    codes, modules = json.loads(done.stdout.splitlines()[-1])
+    return codes, set(modules)
 
 
 def test_synth_writes_file(tmp_path, capsys):
@@ -83,7 +84,7 @@ def test_circuit_commands_never_import_numpy(tmp_path):
     n1, mutant = tmp_path / "n1.mqgc", tmp_path / "drop.mqgc"
     main(["synth", "--n", "1", "--out", str(n1)])
     mutant.write_text("".join(n1.read_text().splitlines(True)[:-3]))
-    codes, numpy_loaded = probe(
+    codes, modules = probe(
         ["verify", "--n", "1"],
         ["verify", "--n", "1", "--mode", "symbolic"],
         ["verify", "--circuit", str(n1)],
@@ -93,14 +94,23 @@ def test_circuit_commands_never_import_numpy(tmp_path):
         ["compare", "--n", "2", "--all-up-to"],
     )
     assert codes == [0, 0, 0, 1, 0, 0, 0]
-    assert not numpy_loaded
+    # Each command imports only the modules it runs.
+    assert {"mqgsim.circuit", "mqgsim.sim"} <= modules
+    assert not modules & {"numpy", "dataclasses", "mqgsim.nmr"}
 
 
 def test_nmr_verify_in_fresh_interpreter():
     # nmr-verify still imports numpy when it needs it, and the probe sees it.
-    codes, numpy_loaded = probe(["nmr-verify", "--kind", "1", "--rows", "2", "--seed", "5"])
+    codes, modules = probe(["nmr-verify", "--kind", "1", "--rows", "2", "--seed", "5"])
     assert codes == [0]
-    assert numpy_loaded
+    assert {"numpy", "mqgsim.nmr"} <= modules
+    assert not modules & {
+        "dataclasses",
+        "mqgsim.circuit",
+        "mqgsim.sim",
+        "mqgsim.gf2",
+        "mqgsim.synthesis",
+    }
 
 
 def test_verify_exhaustive_pass(tmp_path, capsys):
@@ -138,6 +148,15 @@ def test_verify_parse_error_exit_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "verify", "--circuit", str(bad))
     assert code == 2
     assert "line 6" in err
+
+
+def test_verify_over_exhaustive_limit_names_the_flag(tmp_path, capsys):
+    n5 = tmp_path / "n5.mqgc"
+    assert main(["synth", "--n", "5", "--out", str(n5)]) == 0
+    code, stdout, err = run_cli(capsys, "verify", "--circuit", str(n5), "--mode", "exhaustive")
+    assert code == 2
+    assert stdout == ""
+    assert "--mode symbolic" in err
 
 
 def test_verify_symbolic_n3(capsys):

@@ -1,5 +1,4 @@
 import json
-from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -256,8 +255,8 @@ def test_wrong_sign_algebra_gives_deviation_counterexample(monkeypatch):
 
     def skewed(seq, cfg):
         eff = real(seq, cfg)
-        first = replace(eff.surviving[0], coeff=eff.surviving[0].coeff + 1e-8)
-        return replace(eff, surviving=(first,) + eff.surviving[1:])
+        first = eff.surviving[0]._replace(coeff=eff.surviving[0].coeff + 1e-8)
+        return eff._replace(surviving=(first,) + eff.surviving[1:])
 
     monkeypatch.setattr(nmr, "effective_evolution", skewed)
     rep = verify_identity(1, cfg_random(2, seed=8), t=0.7)
@@ -299,7 +298,7 @@ def test_verify_identity_deterministic_given_seed():
     r1 = verify_identity(2, cfg, t=0.7)
     r2 = verify_identity(2, cfg, t=0.7)
     assert r1 == r2
-    assert json.dumps(asdict(r1)) == json.dumps(asdict(r2))
+    assert json.dumps(r1._asdict()) == json.dumps(r2._asdict())
 
 
 def test_verify_identity_mutation_fails():

@@ -1,5 +1,3 @@
-from dataclasses import asdict
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -121,7 +119,7 @@ def test_run_all_rejects_non_bijection(monkeypatch):
 
 
 def test_run_all_refuses_large_width():
-    with pytest.raises(CircuitError, match="run_anf"):
+    with pytest.raises(CircuitError, match="exhaustive limit 24; use --mode symbolic"):
         run_all(network(3), oracle(3))
 
 
@@ -259,7 +257,7 @@ def test_backend_agreement_n1():
 
 def test_equiv_report_json_schema():
     # One report shape for both modes; symbolic counts every input it proves.
-    exhaustive = asdict(run_all(network(1), oracle(1)))
+    exhaustive = run_all(network(1), oracle(1))._asdict()
     assert exhaustive == {
         "mode": "exhaustive",
         "states_checked": 512,
@@ -267,7 +265,7 @@ def test_equiv_report_json_schema():
         "counterexample": None,
     }
     c = network(1)
-    symbolic = asdict(check_anf(run_anf(c), oracle(1), c.roles))
+    symbolic = check_anf(run_anf(c), oracle(1), c.roles)._asdict()
     assert symbolic == dict(exhaustive, mode="symbolic")
 
 
@@ -338,3 +336,16 @@ def test_mcx_oracle_rejects_overlapping_masks():
         mcx_oracle(0b011, 0b010)
     with pytest.raises(CircuitError):
         mcx_oracle(0b011, 0)
+
+
+@pytest.mark.parametrize("control,target", [(1 << 20, 1), (0b011, 1 << 3)])
+def test_mcx_oracle_columns_reject_masks_wider_than_width(control, target):
+    # A control bit at wire 20 would be ignored and wire 0 flipped everywhere.
+    with pytest.raises(CircuitError, match="do not fit 3 wires"):
+        mcx_oracle(control, target).columns(3)
+
+
+@pytest.mark.parametrize("control,target", [(1 << 20, 1), (0b011, 1 << 3)])
+def test_mcx_oracle_anf_rejects_masks_wider_than_width(control, target):
+    with pytest.raises(CircuitError, match="do not fit 3 wires"):
+        mcx_oracle(control, target).anf(3)
