@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 ROLES = ("A", "B", "C", "D")
@@ -108,9 +108,10 @@ class Circuit(namedtuple("Circuit", "roles layers")):
     Construction checks that the roles are distinct and that every layer is
     non-empty, in range, and made of disjoint three-wire gates. Equal
     layers are checked once, so a network that repeats a few layer
-    templates costs a hash per layer. There are no ``__slots__``: the
-    instance ``__dict__`` holds the cached ``masks``.
+    templates costs a hash per layer.
     """
+
+    __slots__ = ()
 
     def __new__(cls, roles: tuple[QubitRef, ...], layers: tuple[tuple[Gate, ...], ...] = ()):
         if len(set(roles)) != len(roles):
@@ -129,14 +130,6 @@ class Circuit(namedtuple("Circuit", "roles layers")):
     @property
     def num_qubits(self) -> int:
         return len(self.roles)
-
-    @cached_property
-    def masks(self) -> tuple[tuple[Gate, ...], ...]:
-        """Per layer, the ``(1 << c1, 1 << c2, 1 << t)`` bit masks of its gates."""
-        return tuple(
-            tuple((1 << c1, 1 << c2, 1 << t) for c1, c2, t in layer)
-            for layer in self.layers
-        )
 
 
 class Metrics(NamedTuple):

@@ -101,6 +101,8 @@ def cmd_verify(args) -> int:
 def cmd_compare(args) -> int:
     from .synthesis import table1_compare
 
+    if args.n < 1:
+        raise ValueError(f"need n >= 1, got {args.n}")
     ns = range(1, args.n + 1) if args.all_up_to else [args.n]
     rows = [{"n": n, **table1_compare(n)._asdict()} for n in ns]
     _emit(_payload(args, "compare", {"rows": rows}), args)
@@ -108,16 +110,13 @@ def cmd_compare(args) -> int:
 
 
 def cmd_nmr_verify(args) -> int:
-    from .nmr import LatticeConfig, verify_identity
+    from .nmr import LatticeConfig, seeded_couplings, verify_identity
 
     kinds = range(1, 7) if args.kind == "all" else [int(args.kind)]
     if args.couplings is not None:
         couplings = tuple(args.couplings)
     else:
-        import numpy as np
-
-        rng = np.random.default_rng(args.seed)
-        couplings = tuple(float(x) for x in rng.uniform(0.2, 2.0, size=6))
+        couplings = seeded_couplings(args.seed)
     cfg = LatticeConfig(rows=args.rows, couplings=couplings, boundary=args.boundary)
     reports = [_report(verify_identity(kind, cfg, t=args.t, tol=args.tol)) for kind in kinds]
     all_pass = all(r["pass"] for r in reports)
@@ -127,7 +126,7 @@ def cmd_nmr_verify(args) -> int:
 
 def cmd_trace(args) -> int:
     from .circuit import CircuitError
-    from .sim import bits_to_word, oracle_trace, trace_blocks
+    from .sim import oracle_trace, trace_blocks
     from .synthesis import synth_mqg_network
 
     n = args.n
@@ -161,7 +160,7 @@ def cmd_trace(args) -> int:
     if args.format == "json":
         _emit(_payload(args, "trace", {"pass": all_match, "blocks": rows}), args)
     else:
-        print(f"input {args.input} (word {bits_to_word(bits)})")
+        print(f"input {args.input} (word {int(args.input[::-1], 2)})")
         print("  l  k  A sim/orc  Z sim/orc  D sim/orc  match")
         for r in rows:
             d_orc = "-" if r["D_oracle"] is None else str(r["D_oracle"])

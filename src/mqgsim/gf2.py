@@ -2,8 +2,8 @@
 
 Anf is a multilinear polynomial stored as a set of monomials, each an int
 bit mask with bit v set for flat wire index v. The module also holds the
-closed-form output law of the layered network and the per-block
-recurrences for the intermediate values A_l(k), Z_l(k), which serve as an
+per-block recurrences for the intermediate values A_l(k), Z_l(k) of the
+layered network and its stage-boundary identities, which serve as an
 independent oracle for the simulator backends.
 """
 from __future__ import annotations
@@ -86,18 +86,23 @@ class Anf:
     def __bool__(self) -> bool:
         return bool(self.monomials)
 
-    def evaluate(self, assignment) -> int:
-        """XOR over monomials of AND over variables; assignment must be total."""
+    def evaluate(self, columns, ones: int = 1) -> int:
+        """XOR over monomials of the AND of their variables' columns.
+
+        Columns are bit-sliced and each AND starts from ``ones``, the
+        all-ones column; a single state has columns 0 or 1 and ones = 1.
+        """
         if self._factors is None:
             self._factors = tuple(_bits(m) for m in self.monomials)
         acc = 0
         try:
             for factors in self._factors:
+                term = ones
                 for v in factors:
-                    if not assignment[v]:
+                    term &= columns[v]
+                    if not term:
                         break
-                else:
-                    acc ^= 1
+                acc ^= term
         except (KeyError, IndexError) as e:
             raise ValueError(f"assignment missing variable {e}") from e
         return acc
@@ -174,15 +179,6 @@ def control_product(n: int) -> Anf:
     for l in range(1, 2**n + 1):
         p = p & variable(n, QubitRef("B", l)) & variable(n, QubitRef("C", l))
     return p
-
-
-def closed_form_outputs(n: int) -> dict[int, Anf]:
-    """Output law of the network, keyed by flat index: only a_{2^n} changes,
-    by the control product."""
-    out = {i: Anf.var(i) for i in range(len(mqg_roles(n)))}
-    target = _flat(n)[QubitRef("A", 2**n)]
-    out[target] = control_product(n) ^ out[target]
-    return out
 
 
 class IdentityCheck(NamedTuple):

@@ -89,6 +89,13 @@ class LatticeConfig(namedtuple("LatticeConfig", "rows couplings boundary")):
         return tuple(SpinRef(role, l) for l in rows)
 
 
+def seeded_couplings(seed: int) -> tuple[float, ...]:
+    """Six couplings drawn uniformly from [0.2, 2.0) with numpy's default_rng(seed)."""
+    import numpy as np
+
+    return tuple(float(x) for x in np.random.default_rng(seed).uniform(0.2, 2.0, size=6))
+
+
 class ZZTerm(NamedTuple):
     i: SpinRef
     j: SpinRef
@@ -347,23 +354,25 @@ def verify_identity(
     )
 
     n = cfg.num_spins
-    image, phase = sequence_action(seq, cfg)
-    target = np.exp(-1j * _energy(eff.surviving, n))
-    g = complex(phase[0] / target[0])
-    max_deviation = counterexample = None
-    moved = np.flatnonzero(image != np.arange(image.size))
-    if moved.size:
-        s = int(moved[0])
-        counterexample = {"state": _spin_bits(s, n), "image": _spin_bits(int(image[s]), n)}
-    else:
-        target *= g
-        phase -= target  # in place: the deviation, with no extra 2^N temporaries
-        deviation = np.abs(phase)
-        max_deviation = float(deviation.max())
-        bad = np.flatnonzero(~(deviation <= tol))  # an overflow to NaN fails too
-        if bad.size:
-            s = int(bad[0])
-            counterexample = {"state": _spin_bits(s, n), "deviation": float(deviation[s])}
+    # An overflowing energy gives NaN phases, which the check below fails.
+    with np.errstate(over="ignore", invalid="ignore"):
+        image, phase = sequence_action(seq, cfg)
+        target = np.exp(-1j * _energy(eff.surviving, n))
+        g = complex(phase[0] / target[0])
+        max_deviation = counterexample = None
+        moved = np.flatnonzero(image != np.arange(image.size))
+        if moved.size:
+            s = int(moved[0])
+            counterexample = {"state": _spin_bits(s, n), "image": _spin_bits(int(image[s]), n)}
+        else:
+            target *= g
+            phase -= target  # in place: the deviation, with no extra 2^N temporaries
+            deviation = np.abs(phase)
+            max_deviation = float(deviation.max())
+            bad = np.flatnonzero(~(deviation <= tol))  # an overflow to NaN fails too
+            if bad.size:
+                s = int(bad[0])
+                counterexample = {"state": _spin_bits(s, n), "deviation": float(deviation[s])}
     return VerifyReport(
         kind=kind,
         target_coupling=KIND_TARGET[kind],

@@ -1,70 +1,37 @@
 """Execution backends over a Circuit, and the reference they are checked against.
 
-Four ways to run the same circuit: per-basis-state bit pushing, a
-bit-sliced truth table over all basis states at once, symbolic GF(2)
-simulation (exact for any width), and dense state-vector application via
-the circuit's basis permutation. The single reference is ``mcx_oracle``: a
-multi-controlled NOT given by a control mask and a target mask. The
-exhaustive check compares the whole truth table with it and the symbolic
-check compares output ANFs with it; both return an EquivReport.
+Two ways to run the same circuit: a bit-sliced truth table over all basis
+states at once, and symbolic GF(2) simulation (exact for any width). The
+single reference is ``mcx_oracle``: a multi-controlled NOT given by a
+control mask and a target mask. The exhaustive check compares the whole
+truth table with it and the symbolic check compares output ANFs with it;
+both return an EquivReport.
 
 Bit-sliced truth tables are lists of Python ints, one column per wire:
 bit s of column i is the value of wire i in basis state s. A Toffoli is
-then ``col[t] ^= col[c1] & col[c2]``, applied to all 2^M states at once.
-Only the state-vector backend and its ``all_outputs`` word view use numpy,
-and they import it when called.
+then ``col[t] ^= col[c1] & col[c2]``, applied to all 2^M states at once;
+``_apply_layers`` is the only code that applies gates to bit values. A
+single input is a table with one state, whose columns are 0 or 1.
 """
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from .circuit import Circuit, CircuitError, Gate, QubitRef, mqg_roles
-from .gf2 import Anf, block_A, block_Z, variable
 from .synthesis import layer_templates
 
 if TYPE_CHECKING:
-    import numpy as np
+    from .gf2 import Anf
 
 # A truth-table check holds three sets of M columns of 2^M bits at its
 # peak (outputs, the reverse pass and the identity, then the oracle), about
 # 3*M*2^M/8 bytes: 144 MB at 24 qubits.
 DEFAULT_EXHAUSTIVE_LIMIT = 24
 
-STATEVECTOR_LIMIT = 20
-
-
-def bits_to_word(bits: Sequence[int]) -> int:
-    word = 0
-    for i, b in enumerate(bits):
-        if b:
-            word |= 1 << i
-    return word
-
-
-def word_to_bits(word: int, width: int) -> tuple[int, ...]:
-    return tuple((word >> i) & 1 for i in range(width))
-
 
 def bitstring(word: int, width: int) -> str:
     """Flat-index order, lowest index first."""
     return "".join(str((word >> i) & 1) for i in range(width))
-
-
-def run_word(circuit: Circuit, word: int) -> int:
-    for layer in circuit.masks:
-        for c1, c2, t in layer:
-            if word & c1 and word & c2:
-                word ^= t
-    return word
-
-
-def run_basis(circuit: Circuit, bits: Sequence[int]) -> tuple[int, ...]:
-    """Apply all layers in order to one basis state given as a bit sequence."""
-    if len(bits) != circuit.num_qubits:
-        raise CircuitError(
-            f"input width {len(bits)} != circuit width {circuit.num_qubits}"
-        )
-    return word_to_bits(run_word(circuit, bits_to_word(bits)), circuit.num_qubits)
 
 
 # Bit i of each state 0..7 (one byte, state 0 in bit 0), for wires 0-2.
@@ -105,29 +72,9 @@ def output_columns(circuit: Circuit) -> list[int]:
     return columns
 
 
-def _word_at(columns: Sequence[int], s: int) -> int:
-    """Row s of a bit-sliced table, as a basis-state word."""
-    word = 0
-    for i, column in enumerate(columns):
-        word |= (column >> s & 1) << i
-    return word
-
-
-def all_outputs(circuit: Circuit) -> np.ndarray:
-    """outputs[s] = circuit applied to basis state s, as uint64 words.
-
-    The numpy word view of ``output_columns``, for the state-vector backend.
-    """
-    import numpy as np
-
-    states = 1 << circuit.num_qubits
-    nbytes = max(states // 8, 1)
-    words = np.zeros(states, dtype=np.uint64)
-    for i, column in enumerate(output_columns(circuit)):
-        packed = np.frombuffer(column.to_bytes(nbytes, "little"), dtype=np.uint8)
-        bits = np.unpackbits(packed, count=states, bitorder="little")
-        words |= bits.astype(np.uint64) << np.uint64(i)
-    return words
+def _row_bits(columns: Sequence[int], s: int) -> str:
+    """Row s of a bit-sliced table, in ``bitstring`` order."""
+    return "".join(str(column >> s & 1) for column in columns)
 
 
 class McxOracle(NamedTuple):
@@ -159,6 +106,8 @@ class McxOracle(NamedTuple):
 
     def anf(self, width: int) -> dict[int, Anf]:
         """The output ANF of every wire, keyed by flat index."""
+        from .gf2 import Anf
+
         self._check_width(width)
         product = Anf.one()
         for i in range(width):
@@ -228,8 +177,8 @@ def run_all(
             passed=False,
             counterexample={
                 "input": bitstring(s, M),
-                "expected": bitstring(_word_at(expected, s), M),
-                "actual": bitstring(_word_at(outputs, s), M),
+                "expected": _row_bits(expected, s),
+                "actual": _row_bits(outputs, s),
             },
         )
     return EquivReport(mode="exhaustive", states_checked=1 << M, passed=True)
@@ -237,6 +186,8 @@ def run_all(
 
 def run_anf(circuit: Circuit) -> dict[int, Anf]:
     """Symbolic simulation, keyed by flat index; exact for any Toffoli circuit."""
+    from .gf2 import Anf
+
     wires = [Anf.var(i) for i in range(circuit.num_qubits)]
     for layer in circuit.layers:
         # Snapshot not needed: supports are disjoint within a layer.
@@ -267,22 +218,6 @@ def check_anf(
     return EquivReport(mode="symbolic", states_checked=1 << width, passed=True)
 
 
-def run_statevector(circuit: Circuit, state: np.ndarray) -> np.ndarray:
-    """Apply the circuit's basis permutation to a dense amplitude vector."""
-    M = circuit.num_qubits
-    if M > STATEVECTOR_LIMIT:
-        raise CircuitError(
-            f"{M} qubits exceeds the state-vector limit {STATEVECTOR_LIMIT}"
-        )
-    if state.shape != (1 << M,):
-        raise CircuitError(f"state dimension {state.shape} != ({1 << M},) (2^qubits)")
-    import numpy as np
-
-    out = np.empty_like(state)
-    out[all_outputs(circuit)] = state
-    return out
-
-
 class BlockTrace(NamedTuple):
     """Numeric (A_l(k), Z_l(k), D_l(k)) read off the running simulation."""
 
@@ -298,7 +233,8 @@ def trace_blocks(circuit: Circuit, n: int, bits: Sequence[int]) -> list[BlockTra
 
     Z_l(k) is a_l after layer 4k-2; A_l(k) and D_l(k) are a_l and d_l after
     layer 4k. The circuit must be the canonical n-network: its roles and
-    its alternating type-1/type-2 layers are checked before the run.
+    its alternating type-1/type-2 layers are checked before the run. The
+    input runs as a one-state table: column i is bit i of the input.
     """
     type1, type2 = layer_templates(n)
     if circuit.roles != mqg_roles(n) or circuit.layers != (type1, type2) * 2 ** (n + 1):
@@ -309,21 +245,19 @@ def trace_blocks(circuit: Circuit, n: int, bits: Sequence[int]) -> list[BlockTra
         )
     # Row l's type-2 gate is T(b_l, d_l -> a_l).
     rows = [(l, d, a) for l, (_, d, a) in enumerate(type2, start=1)]
-    word = bits_to_word(bits)
+    columns = list(bits)
     z_at: dict[tuple[int, int], int] = {}
     traces: list[BlockTrace] = []
-    for layer_no, layer in enumerate(circuit.masks, start=1):
-        for c1, c2, t in layer:
-            if word & c1 and word & c2:
-                word ^= t
+    for layer_no, layer in enumerate(circuit.layers, start=1):
+        _apply_layers(columns, (layer,))
         if layer_no % 4 == 2:
             k = (layer_no + 2) // 4
             for l, _, a in rows:
-                z_at[(l, k)] = (word >> a) & 1
+                z_at[(l, k)] = columns[a]
         elif layer_no % 4 == 0:
             k = layer_no // 4
             traces += [
-                BlockTrace(l=l, k=k, a=(word >> a) & 1, z=z_at[(l, k)], d=(word >> d) & 1)
+                BlockTrace(l=l, k=k, a=columns[a], z=z_at[(l, k)], d=columns[d])
                 for l, d, a in rows
             ]
     return traces
@@ -335,6 +269,8 @@ def oracle_trace(n: int, bits: Sequence[int]) -> dict[tuple[int, int], tuple[int
     d is only pinned by the oracle at the final stage k = 2^n, where d_l is
     restored to its input value.
     """
+    from .gf2 import block_A, block_Z, variable
+
     m = 2**n
     out = {}
     for k in range(1, m + 1):

@@ -1,10 +1,12 @@
-"""Test-side reference for the n-network, independent of mqgsim.
+"""Test-side reference for the n-network, independent of mqgsim's gate pass.
 
 The masks are written from the documented flat wire order (a_0 at index
 0, then b_l, c_l, d_l, a_l at 4l-3 .. 4l for rows l = 1..2^n), not read
-from the package, and the truth table is a plain per-state loop.
+from the package, and the truth tables are plain per-state loops.
 """
 import numpy as np
+
+from mqgsim.gf2 import Anf
 
 
 def network_masks(n):
@@ -16,9 +18,29 @@ def network_masks(n):
     return control, 1 << (4 * m)
 
 
+def closed_form_outputs(n):
+    """Output ANFs of the n-network, keyed by flat index: only the target
+    changes, by the product of the controls."""
+    control, target = network_masks(n)
+    width = target.bit_length()
+    out = {i: Anf.var(i) for i in range(width)}
+    t = width - 1
+    out[t] = Anf([[i for i in range(width) if control >> i & 1]]) ^ out[t]
+    return out
+
+
 def mcx_table(control, target, width):
     """outputs[s] of the C^k-NOT that XORs target into s when all controls are 1."""
     return [s ^ target if s & control == control else s for s in range(1 << width)]
+
+
+def run_word(circuit, word):
+    """One basis state through the circuit, gate by gate, as a word."""
+    for layer in circuit.layers:
+        for c1, c2, t in layer:
+            if word >> c1 & 1 and word >> c2 & 1:
+                word ^= 1 << t
+    return word
 
 
 def table_columns(table, width):
@@ -32,3 +54,9 @@ def table_columns(table, width):
         )
         for i in range(width)
     ]
+
+
+def table_words(columns):
+    """Un-slice a bit-sliced table: table[s] has bit i = bit s of column i."""
+    states = 1 << len(columns)
+    return [sum((col >> s & 1) << i for i, col in enumerate(columns)) for s in range(states)]

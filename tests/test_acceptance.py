@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mqgsim.circuit import Circuit, QubitRef, metrics
-from mqgsim.gf2 import block_A, block_Z, closed_form_outputs, verify_appendix
+from mqgsim.gf2 import block_A, block_Z, verify_appendix
 from mqgsim.nmr import (
     LatticeConfig,
     PulseGroup,
@@ -19,13 +19,13 @@ from mqgsim.nmr import (
     verify_identity,
 )
 from mqgsim.sim import (
-    all_outputs,
     mcx_oracle,
     oracle_trace,
     output_columns,
     run_all,
     run_anf,
     trace_blocks,
+    wire_columns,
 )
 from mqgsim.synthesis import (
     pin_mask,
@@ -33,7 +33,7 @@ from mqgsim.synthesis import (
     synth_mqg_network,
     table1_compare,
 )
-from network_reference import mcx_table, network_masks
+from network_reference import closed_form_outputs, mcx_table, network_masks, table_columns
 
 
 def network(n):
@@ -115,33 +115,42 @@ def test_criterion_5_table1_and_baseline():
         M = c.num_qubits
         # Controls first, target last (baseline_roles order).
         expected = mcx_table((1 << m) - 1, 1 << (M - 1), M)
-        ok &= bool(np.array_equal(all_outputs(c), expected))
+        ok &= output_columns(c) == table_columns(expected, M)
     report(5, "unit-count formulas and dirty-ancilla baseline m=3,4,5", ok)
 
 
 def test_criterion_6_ancilla_independence():
     ok = True
-    for n in (1, 2):
+    for n in (1, 2, 3):
         c = network(n)
+        M = c.num_qubits
         idx = {ref: i for i, ref in enumerate(c.roles)}
         m = 2**n
         anc_bits = [idx[QubitRef("A", l)] for l in range(1, m)] + [
             idx[QubitRef("D", l)] for l in range(1, m + 1)
         ]
         anc_mask = sum(1 << b for b in anc_bits)
-        outs = all_outputs(c)
-        states = np.arange(len(outs), dtype=np.uint64)
+        others = [i for i in range(M) if not anc_mask >> i & 1]
+        # Symbolic form, exact at any n: no other output ANF has an ancilla variable.
+        anf = run_anf(c)
+        ok &= all(not mono & anc_mask for i in others for mono in anf[i].monomials)
+        if n == 3:
+            continue
+        ident = wire_columns(M)
+        outs = output_columns(c)
+        ones = (1 << (1 << M)) - 1
         # Ancilla wires come back unchanged on every input.
-        ok &= bool(np.array_equal(outs & anc_mask, states & anc_mask))
-        # The non-ancilla part of the output is the same within each group
-        # of inputs that differ only on ancillas.
-        rest = outs & ~np.uint64(anc_mask)
-        base = states & ~np.uint64(anc_mask)
-        for anc in range(1, 1 << len(anc_bits)):
-            word = sum(1 << b for j, b in enumerate(anc_bits) if (anc >> j) & 1)
-            shuffled = rest[base | np.uint64(word)]
-            ok &= bool(np.array_equal(shuffled, rest[base]))
-    report(6, "outputs independent of dirty ancilla values n=1,2", ok)
+        ok &= all(outs[b] == ident[b] for b in anc_bits)
+        # Flipping ancilla bit b swaps each block of 2^b states that have
+        # bit b at 0 with the next block, which has it at 1. No other output
+        # column changes under that swap.
+        for b in anc_bits:
+            high, shift = ident[b], 1 << b
+            low = ones ^ high
+            for i in others:
+                col = outs[i]
+                ok &= ((col & low) << shift | (col & high) >> shift) == col
+    report(6, "outputs independent of dirty ancilla values n=1,2 (table), n=1,2,3 (ANF)", ok)
 
 
 def test_criterion_7_nmr_identities():

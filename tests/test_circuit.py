@@ -12,8 +12,9 @@ from mqgsim.circuit import (
     parse,
     serialize,
 )
-from mqgsim.sim import run_basis
+from mqgsim.sim import output_columns
 from mqgsim.synthesis import synth_mqg_network
+from network_reference import table_words
 
 A0 = QubitRef("A", 0)
 
@@ -78,20 +79,25 @@ def test_gate_duplicate_wire_rejected():
 
 def test_apply_gate_truth_table():
     c = Circuit((A0, QubitRef("C", 1), QubitRef("D", 1)), (((0, 1, 2),),))
-    assert run_basis(c, (1, 1, 0)) == (1, 1, 1)
-    assert run_basis(c, (1, 0, 1)) == (1, 0, 1)
+    # Words are little-endian: 0b011 has wires 0 and 1 set.
+    assert table_words(output_columns(c)) == [0, 1, 2, 7, 4, 5, 6, 3]
 
 
 def test_apply_gate_involution():
     c = Circuit((A0, QubitRef("C", 1), QubitRef("D", 1)), (((0, 1, 2),),))
+    outs = table_words(output_columns(c))
     for word in range(8):
-        bits = tuple((word >> i) & 1 for i in range(3))
-        assert run_basis(c, run_basis(c, bits)) == bits
+        assert outs[outs[word]] == word
 
 
 def test_masks_of_gates():
+    # Gate (c1, c2, t) reads bits c1 and c2 of the state and flips bit t.
     c = Circuit(mqg_roles(1), (((0, 2, 3), (4, 6, 7)), ((1, 3, 4),)))
-    assert c.masks == (((1, 4, 8), (16, 64, 128)), ((2, 8, 16),))
+    outs = table_words(output_columns(c))
+    assert outs[0b101] == 0b1101
+    assert outs[0b1010000] == 0b11010000
+    assert outs[0b1010] == 0b11010
+    assert outs[0b111] == 0b11111  # the first layer's output feeds the second
 
 
 @pytest.mark.parametrize(
@@ -186,9 +192,8 @@ def test_parse_rejects_overlapping_layer():
 def test_layer_involution(word, layer_idx):
     c = synth_mqg_network(1)
     layer = c.layers[layer_idx]
-    single = Circuit(c.roles, (layer,))
-    bits = tuple((word >> i) & 1 for i in range(9))
-    assert run_basis(single, run_basis(single, bits)) == bits
+    outs = table_words(output_columns(Circuit(c.roles, (layer,))))
+    assert outs[outs[word]] == word
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -27,14 +28,19 @@ print(json.dumps([codes, sorted(sys.modules)]))
 """
 
 
-def probe(*argvs):
+def child(*args, check=True):
+    """Runs ``python *args`` on this checkout's sources."""
     src = str(Path(mqgsim.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", _PROBE, json.dumps(argvs)],
-        capture_output=True, text=True, env=env, timeout=120, check=True,
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True, text=True, env=env, timeout=120, check=check,
     )
+
+
+def probe(*argvs):
+    done = child("-c", _PROBE, json.dumps(argvs))
     codes, modules = json.loads(done.stdout.splitlines()[-1])
     return codes, set(modules)
 
@@ -97,6 +103,30 @@ def test_circuit_commands_never_import_numpy(tmp_path):
     # Each command imports only the modules it runs.
     assert {"mqgsim.circuit", "mqgsim.sim"} <= modules
     assert not modules & {"numpy", "dataclasses", "mqgsim.nmr"}
+    # The exhaustive check needs no ANF algebra; the symbolic one loads it.
+    codes, modules = probe(["verify", "--circuit", str(n1)], ["verify", "--circuit", str(mutant)])
+    assert codes == [0, 1]
+    assert "mqgsim.sim" in modules
+    assert not modules & {"numpy", "mqgsim.gf2"}
+    codes, modules = probe(["verify", "--n", "3"])
+    assert codes == [0]
+    assert "mqgsim.gf2" in modules
+
+
+def test_only_nmr_imports_numpy():
+    # Anywhere in a module, not only at the top: function-local imports count.
+    importers = set()
+    for path in Path(mqgsim.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                importers.add(path.name)
+    assert importers == {"nmr.py"}
 
 
 def test_nmr_verify_in_fresh_interpreter():
@@ -194,6 +224,16 @@ def test_compare_rows(capsys):
     assert [r["baseline_units"] for r in rows] == [12, 28, 60]
 
 
+@pytest.mark.parametrize(
+    "argv", [["--n", "0"], ["--n", "0", "--all-up-to"], ["--n", "-1", "--all-up-to"]]
+)
+def test_compare_rejects_n_below_1(capsys, argv):
+    code, stdout, err = run_cli(capsys, "compare", *argv)
+    assert code == 2
+    assert stdout == ""
+    assert err == f"error: need n >= 1, got {argv[1]}\n"
+
+
 def test_nmr_verify_all_kinds(capsys):
     code, stdout, _ = run_cli(
         capsys,
@@ -250,6 +290,18 @@ def test_nmr_verify_over_spin_limit(capsys, monkeypatch):
     assert code == 2
     assert stdout == ""
     assert err.startswith("error: 12 spins is over the limit of 8")
+
+
+def test_nmr_verify_overflow_fails_without_warnings():
+    # A fresh interpreter, so pytest's own warning capture cannot hide any.
+    done = child(
+        "-m", "mqgsim.cli", "nmr-verify", "--rows", "2",
+        "--couplings", "1e308", "1", "1", "1", "1", "1",
+        check=False,
+    )
+    assert done.returncode == 1
+    assert json.loads(done.stdout)["report"]["pass"] is False
+    assert done.stderr == ""  # no numpy RuntimeWarning lines
 
 
 def test_nmr_verify_bad_flags(capsys):

@@ -8,12 +8,12 @@ from mqgsim.gf2 import (
     Anf,
     block_A,
     block_Z,
-    closed_form_outputs,
     control_product,
     variable,
     verify_appendix,
     wire_names,
 )
+from network_reference import closed_form_outputs
 
 x1, x2, x3 = Anf.var(1), Anf.var(2), Anf.var(3)
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -267,8 +268,10 @@ def test_wrong_sign_algebra_gives_deviation_counterexample(monkeypatch):
 
 
 def test_verify_identity_overflow_fails():
-    # Finite couplings whose energies overflow give NaN phases; they must fail.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # Finite couplings whose energies overflow give NaN phases; they must
+    # fail, without a numpy RuntimeWarning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         rep = verify_identity(1, LatticeConfig(2, (1e308,) * 6), t=0.7)
     assert not rep.passed and rep.counterexample is not None
 

@@ -3,10 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mqgsim.circuit import Circuit, CircuitError, QubitRef, mqg_roles
-from mqgsim.gf2 import Anf, closed_form_outputs
+from mqgsim.gf2 import Anf
 from mqgsim.sim import (
-    all_outputs,
-    bits_to_word,
     bitstring,
     check_anf,
     mcx_oracle,
@@ -14,15 +12,18 @@ from mqgsim.sim import (
     output_columns,
     run_all,
     run_anf,
-    run_basis,
-    run_statevector,
-    run_word,
     trace_blocks,
     wire_columns,
-    word_to_bits,
 )
 from mqgsim.synthesis import synth_mqg_network
-from network_reference import mcx_table, network_masks, table_columns
+from network_reference import (
+    closed_form_outputs,
+    mcx_table,
+    network_masks,
+    run_word,
+    table_columns,
+    table_words,
+)
 
 
 def network(n):
@@ -33,25 +34,19 @@ def oracle(n):
     return mcx_oracle(*network_masks(n))
 
 
-def anf_columns(polys, width):
-    """Evaluate output ANFs on every basis state at once, bit-sliced.
+def word(bits):
+    return sum(b << i for i, b in enumerate(bits))
 
-    A monomial is the AND of its factors' identity columns, the constant 1
-    is all ones, and a polynomial is the XOR of its monomials.
-    """
-    wires = wire_columns(width)
-    ones = (1 << (1 << width)) - 1
-    columns = []
-    for i in range(width):
-        column = 0
-        for m in polys[i].monomials:
-            term = ones
-            for v in range(width):
-                if m >> v & 1:
-                    term &= wires[v]
-            column ^= term
-        columns.append(column)
-    return columns
+
+def row(columns, s):
+    """Row s of a bit-sliced table, as a bit tuple."""
+    return tuple(column >> s & 1 for column in columns)
+
+
+def evaluate_all(polys, width):
+    """Output ANFs evaluated on every basis state at once, bit-sliced."""
+    wires, ones = wire_columns(width), (1 << (1 << width)) - 1
+    return [polys[i].evaluate(wires, ones) for i in range(width)]
 
 
 @st.composite
@@ -69,28 +64,31 @@ def small_circuits(draw):
 def test_run_basis_all_controls():
     c = network(1)
     bits = (1, 1, 1, 0, 0, 1, 1, 0, 0)  # A0 B1 C1 D1 A1 B2 C2 D2 A2
-    out = run_basis(c, bits)
+    out = row(output_columns(c), word(bits))
     assert out == (1, 1, 1, 0, 0, 1, 1, 0, 1)
 
 
 def test_run_basis_identity_when_b1_zero():
     c = network(1)
+    outs = output_columns(c)
     rng = np.random.default_rng(0)
     for _ in range(50):
-        bits = list(rng.integers(0, 2, 9))
+        bits = [int(b) for b in rng.integers(0, 2, 9)]
         bits[1] = 0  # B1
-        assert run_basis(c, bits) == tuple(bits)
+        assert row(outs, word(bits)) == tuple(bits)
 
 
 def test_run_basis_empty_circuit():
     c = Circuit(mqg_roles(1))
     bits = (1, 0, 1, 0, 1, 0, 1, 0, 1)
-    assert run_basis(c, bits) == bits
+    assert output_columns(c) == wire_columns(9)
+    assert row(output_columns(c), word(bits)) == bits
 
 
 def test_run_basis_width_mismatch():
-    with pytest.raises(CircuitError):
-        run_basis(network(1), (0, 1))
+    # A one-state table must have one column per wire.
+    with pytest.raises(CircuitError, match="input width 2 != circuit width 9"):
+        trace_blocks(network(1), 1, (0, 1))
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -125,8 +123,8 @@ def test_run_all_refuses_large_width():
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_network_is_involution(n):
-    outs = all_outputs(network(n))
-    assert np.array_equal(outs[outs], np.arange(len(outs), dtype=np.uint64))
+    c = network(n)
+    assert output_columns(Circuit(c.roles, c.layers * 2)) == wire_columns(c.num_qubits)
 
 
 def test_run_anf_single_toffoli():
@@ -142,56 +140,43 @@ def test_run_anf_matches_closed_form(n):
 
 
 def test_statevector_moves_amplitude():
+    # The basis permutation sends the all-controls state to its flipped target.
     c = network(1)
-    word = bits_to_word((1, 1, 1, 0, 0, 1, 1, 0, 0))
-    state = np.zeros(1 << 9, dtype=complex)
-    state[word] = 1.0
-    out = run_statevector(c, state)
-    flipped = bits_to_word((1, 1, 1, 0, 0, 1, 1, 0, 1))
-    assert out[flipped] == 1.0
-    assert np.count_nonzero(out) == 1
+    outs = table_words(output_columns(c))
+    assert outs[word((1, 1, 1, 0, 0, 1, 1, 0, 0))] == word((1, 1, 1, 0, 0, 1, 1, 0, 1))
 
 
 def test_statevector_unitary_on_random_state():
-    c = network(1)
-    rng = np.random.default_rng(3)
-    state = rng.normal(size=1 << 9) + 1j * rng.normal(size=1 << 9)
-    state /= np.linalg.norm(state)
-    out = run_statevector(c, state)
-    assert abs(np.vdot(out, out) - 1.0) < 1e-12
+    # A basis permutation is unitary: every state is hit exactly once.
+    outs = table_words(output_columns(network(1)))
+    assert sorted(outs) == list(range(1 << 9))
 
 
 def test_statevector_superposition_matches_ideal_gate():
     # Uniform superposition over control patterns, work wires fixed at 0.
     c = network(1)
     table = mcx_table(*network_masks(1), 9)
+    outs = table_words(output_columns(c))
     idx = {ref: i for i, ref in enumerate(c.roles)}
     control_bits = [idx[QubitRef("A", 0)]] + [
         idx[QubitRef(r, l)] for l in (1, 2) for r in "BC"
     ]
-    state = np.zeros(1 << 9, dtype=complex)
     for pattern in range(1 << 5):
-        word = 0
-        for j, bit in enumerate(control_bits):
-            if (pattern >> j) & 1:
-                word |= 1 << bit
-        state[word] = 1.0
-    state /= np.linalg.norm(state)
-    ideal = np.zeros_like(state)
-    ideal[table] = state
-    assert np.allclose(run_statevector(c, state), ideal, atol=1e-12)
+        s = sum(1 << bit for j, bit in enumerate(control_bits) if (pattern >> j) & 1)
+        assert outs[s] == table[s]
 
 
 def test_statevector_dimension_mismatch():
-    with pytest.raises(CircuitError):
-        run_statevector(network(1), np.zeros(17, dtype=complex))
+    # An oracle for the 17-wire network does not fit the 9-wire table.
+    with pytest.raises(CircuitError, match="do not fit 9 wires"):
+        run_all(network(1), oracle(2))
 
 
 def test_layer_order_within_layer_is_irrelevant():
     c = network(1)
     reversed_layers = tuple(tuple(reversed(layer)) for layer in c.layers)
     c_rev = Circuit(c.roles, reversed_layers)
-    assert np.array_equal(all_outputs(c), all_outputs(c_rev))
+    assert output_columns(c) == output_columns(c_rev)
 
 
 def test_trace_blocks_matches_worked_example():
@@ -236,23 +221,17 @@ def test_trace_blocks_rejects_foreign_circuit():
 
 def test_backend_agreement_n1():
     c = network(1)
-    outs = all_outputs(c)
+    outs = output_columns(c)
     anf_out = run_anf(c)
-    perm = np.arange(1 << 9, dtype=np.uint64)
     rng = np.random.default_rng(5)
-    for word in rng.integers(0, 1 << 9, size=100):
-        word = int(word)
-        bits = word_to_bits(word, 9)
-        basis = bits_to_word(run_basis(c, bits))
-        assert basis == int(outs[word])
-        symbolic = 0
-        for i, poly in anf_out.items():
-            if poly.evaluate(bits):
-                symbolic |= 1 << i
-        assert symbolic == basis
-        state = np.zeros(1 << 9, dtype=complex)
-        state[word] = 1.0
-        assert run_statevector(c, state)[basis] == 1.0
+    for s in rng.integers(0, 1 << 9, size=100):
+        s = int(s)
+        bits = row(wire_columns(9), s)
+        basis = run_word(c, s)
+        assert word(row(outs, s)) == basis
+        # The output ANFs on a one-state table, and on a dict assignment.
+        assert word([anf_out[i].evaluate(bits) for i in range(9)]) == basis
+        assert word([anf_out[i].evaluate(dict(enumerate(bits))) for i in range(9)]) == basis
 
 
 def test_equiv_report_json_schema():
@@ -286,7 +265,7 @@ def test_mcx_oracle_matches_reference(n):
     columns = mcx_oracle(control, target).columns(width)
     assert columns == table_columns(mcx_table(control, target, width), width)
     assert mcx_oracle(control, target).anf(width) == closed_form_outputs(n)
-    assert anf_columns(closed_form_outputs(n), width) == columns
+    assert evaluate_all(closed_form_outputs(n), width) == columns
 
 
 @pytest.mark.parametrize("width", [1, 2, 3, 4, 11])
@@ -301,7 +280,7 @@ def test_anf_matches_truth_table(n, drop):
     c = network(n)
     if drop is not None:
         c = Circuit(c.roles, c.layers[:drop] + c.layers[drop + 1 :])
-    assert anf_columns(run_anf(c), c.num_qubits) == output_columns(c)
+    assert evaluate_all(run_anf(c), c.num_qubits) == output_columns(c)
 
 
 @given(small_circuits(), st.data())
