@@ -20,12 +20,16 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-def _emit(payload: dict, args) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _write(text: str, args) -> None:
+    """Write ``text`` to ``--out`` when it is given, else to stdout."""
     if getattr(args, "out", None):
         Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
+
+
+def _emit(payload: dict, args) -> None:
+    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args)
 
 
 def _payload(args, command: str, report: dict) -> dict:
@@ -59,11 +63,7 @@ def cmd_synth(args) -> int:
     from .synthesis import synth_mqg_network
 
     circuit = synth_mqg_network(args.n)
-    text = serialize(circuit)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _write(serialize(circuit), args)
     m = metrics(circuit)
     print(
         f"qubits={m.qubit_count} mqg_count={m.mqg_count} "
@@ -126,7 +126,7 @@ def cmd_nmr_verify(args) -> int:
 
 def cmd_trace(args) -> int:
     from .circuit import CircuitError
-    from .sim import oracle_trace, trace_blocks
+    from .sim import check_stages
     from .synthesis import synth_mqg_network
 
     n = args.n
@@ -135,40 +135,23 @@ def cmd_trace(args) -> int:
         raise CircuitError(
             f"--input must be {circuit.num_qubits} chars of 0/1 in flat-index order"
         )
-    bits = tuple(int(ch) for ch in args.input)
-    traces = trace_blocks(circuit, n, bits)
-    oracle = oracle_trace(n, bits)
-    rows = []
-    all_match = True
-    for tr in traces:
-        oa, oz, od = oracle[(tr.l, tr.k)]
-        match = tr.a == oa and tr.z == oz and (od is None or tr.d == od)
-        all_match &= match
-        rows.append(
-            {
-                "l": tr.l,
-                "k": tr.k,
-                "A": tr.a,
-                "A_oracle": oa,
-                "Z": tr.z,
-                "Z_oracle": oz,
-                "D": tr.d,
-                "D_oracle": od,
-                "match": match,
-            }
-        )
+    stages = check_stages(circuit, n, [int(ch) for ch in args.input])
+    all_match = all(st.match for st in stages)
     if args.format == "json":
-        _emit(_payload(args, "trace", {"pass": all_match, "blocks": rows}), args)
+        blocks = [dict(st._asdict(), match=st.match) for st in stages]
+        _emit(_payload(args, "trace", {"pass": all_match, "blocks": blocks}), args)
     else:
-        print(f"input {args.input} (word {int(args.input[::-1], 2)})")
-        print("  l  k  A sim/orc  Z sim/orc  D sim/orc  match")
-        for r in rows:
-            d_orc = "-" if r["D_oracle"] is None else str(r["D_oracle"])
-            print(
-                f"  {r['l']}  {r['k']}    {r['A']} / {r['A_oracle']}      "
-                f"{r['Z']} / {r['Z_oracle']}      {r['D']} / {d_orc}     "
-                f"{'ok' if r['match'] else 'MISMATCH'}"
-            )
+        lines = [
+            f"input {args.input} (word {int(args.input[::-1], 2)})",
+            "  l  k  A sim/orc  Z sim/orc  D sim/orc  match",
+        ]
+        lines += [
+            f"  {st.l}  {st.k}    {st.A} / {st.A_oracle}      "
+            f"{st.Z} / {st.Z_oracle}      {st.D} / {'-' if st.D_oracle is None else st.D_oracle}"
+            f"     {'ok' if st.match else 'MISMATCH'}"
+            for st in stages
+        ]
+        _write("\n".join(lines) + "\n", args)
     return EXIT_OK if all_match else EXIT_FAIL
 
 

@@ -5,6 +5,11 @@ bit mask with bit v set for flat wire index v. The module also holds the
 per-block recurrences for the intermediate values A_l(k), Z_l(k) of the
 layered network and its stage-boundary identities, which serve as an
 independent oracle for the simulator backends.
+
+``block_stages`` is the one recurrence pass. It uses only ``&`` and ``^``
+on its input columns, so the same code runs on bit-sliced int columns
+(one state or all 2^M) and on ``Anf.var`` columns, where it gives the
+ANFs that ``block_A`` and ``block_Z`` read.
 """
 from __future__ import annotations
 
@@ -32,7 +37,7 @@ class Anf:
     the empty polynomial is 0.
     """
 
-    __slots__ = ("monomials", "_factors")
+    __slots__ = ("monomials",)
 
     def __init__(self, monomials=()):
         masks = set()
@@ -42,13 +47,11 @@ class Anf:
                 mask |= 1 << v
             masks.add(mask)
         self.monomials = frozenset(masks)
-        self._factors = None
 
     @classmethod
     def _of(cls, masks: frozenset) -> "Anf":
         poly = cls.__new__(cls)
         poly.monomials = masks
-        poly._factors = None
         return poly
 
     @classmethod
@@ -86,27 +89,6 @@ class Anf:
     def __bool__(self) -> bool:
         return bool(self.monomials)
 
-    def evaluate(self, columns, ones: int = 1) -> int:
-        """XOR over monomials of the AND of their variables' columns.
-
-        Columns are bit-sliced and each AND starts from ``ones``, the
-        all-ones column; a single state has columns 0 or 1 and ones = 1.
-        """
-        if self._factors is None:
-            self._factors = tuple(_bits(m) for m in self.monomials)
-        acc = 0
-        try:
-            for factors in self._factors:
-                term = ones
-                for v in factors:
-                    term &= columns[v]
-                    if not term:
-                        break
-                acc ^= term
-        except (KeyError, IndexError) as e:
-            raise ValueError(f"assignment missing variable {e}") from e
-        return acc
-
     def to_text(self, names=None) -> str:
         """Render as e.g. ``A0 B1 C1 + A2``; 0 and 1 literals."""
         if not self.monomials:
@@ -143,34 +125,49 @@ def _check_indices(n: int, l: int, k: int):
         raise ValueError(f"stage index k={k} outside 0..{2**n}")
 
 
+def block_stages(n: int, columns):
+    """Yield the lists (A, Z) with A[l] = A_l(k) and Z[l] = Z_l(k), for k = 1..2^n.
+
+    ``columns`` holds one value per wire of the n-network, by flat index.
+    Stage 0 is the input, A_l(0) = a_l, and row 0 is a_0 at every stage.
+    Z_l(1) = B_l (A_{l-1} C_l + D_l) + A_l is the k >= 2 step
+    Z_l(k) = B_l C_l A_{l-1}(k-1) + Z_l(k-1) from Z_l(0) := B_l D_l + A_l.
+    """
+    idx = _flat(n)
+    rows = range(1, 2**n + 1)
+
+    def col(role: str, l: int):
+        return columns[idx[QubitRef(role, l)]]
+
+    A = [col("A", l) for l in range(2**n + 1)]
+    bc = [None] + [col("B", l) & col("C", l) for l in rows]
+    Z = [A[0]] + [col("B", l) & col("D", l) ^ A[l] for l in rows]
+    for _ in range(2**n):
+        Z = [A[0]] + [bc[l] & A[l - 1] ^ Z[l] for l in rows]
+        A = [A[0]] + [bc[l] & Z[l - 1] ^ A[l] for l in rows]
+        yield A, Z
+
+
 @lru_cache(maxsize=None)
+def _block_table(n: int) -> tuple[list[list[Anf]], list[list[Anf]]]:
+    """Every A_l(k) and Z_l(k) as ANFs, indexed [k][l]; stage 0's Z row is (a_0,)."""
+    stages = list(block_stages(n, [Anf.var(i) for i in range(len(_flat(n)))]))
+    A0 = [variable(n, QubitRef("A", l)) for l in range(2**n + 1)]
+    return [A0] + [A for A, _ in stages], [A0[:1]] + [Z for _, Z in stages]
+
+
 def block_A(n: int, l: int, k: int) -> Anf:
     """Wire value on a_l at the end of block stage k, as an ANF."""
     _check_indices(n, l, k)
-    if l == 0:
-        return variable(n, QubitRef("A", 0))
-    if k == 0:
-        return variable(n, QubitRef("A", l))
-    bc = variable(n, QubitRef("B", l)) & variable(n, QubitRef("C", l))
-    return (bc & block_Z(n, l - 1, k)) ^ block_A(n, l, k - 1)
+    return _block_table(n)[0][k][l]
 
 
-@lru_cache(maxsize=None)
 def block_Z(n: int, l: int, k: int) -> Anf:
     """Wire value on a_l at the midpoint of block stage k, as an ANF."""
     _check_indices(n, l, k)
-    if l == 0:
-        return variable(n, QubitRef("A", 0))
-    if k == 0:
+    if k == 0 and l > 0:
         raise ValueError(f"Z_{l}(0) is undefined (stage k must be >= 1 for l >= 1)")
-    b = variable(n, QubitRef("B", l))
-    if k == 1:
-        a_prev = variable(n, QubitRef("A", l - 1))
-        c = variable(n, QubitRef("C", l))
-        d = variable(n, QubitRef("D", l))
-        return (b & ((a_prev & c) ^ d)) ^ variable(n, QubitRef("A", l))
-    bc = b & variable(n, QubitRef("C", l))
-    return (bc & block_A(n, l - 1, k - 1)) ^ block_Z(n, l, k - 1)
+    return _block_table(n)[1][k][l]
 
 
 def control_product(n: int) -> Anf:

@@ -1,17 +1,18 @@
 """Execution backends over a Circuit, and the reference they are checked against.
 
-Two ways to run the same circuit: a bit-sliced truth table over all basis
-states at once, and symbolic GF(2) simulation (exact for any width). The
-single reference is ``mcx_oracle``: a multi-controlled NOT given by a
-control mask and a target mask. The exhaustive check compares the whole
-truth table with it and the symbolic check compares output ANFs with it;
-both return an EquivReport.
+``_apply_layers`` is the one gate pass: a Toffoli is
+``col[t] ^= col[c1] & col[c2]`` on whatever the columns hold. On
+bit-sliced int columns (bit s of column i is wire i in basis state s) it
+runs all 2^M basis states at once, or one state whose columns are 0 or 1;
+on ``Anf.var`` columns it is symbolic GF(2) simulation, exact at any
+width. The single reference is ``mcx_oracle``: a multi-controlled NOT
+given by a control mask and a target mask. The exhaustive check compares
+the whole truth table with it and the symbolic check compares output ANFs
+with it; both return an EquivReport.
 
-Bit-sliced truth tables are lists of Python ints, one column per wire:
-bit s of column i is the value of wire i in basis state s. A Toffoli is
-then ``col[t] ^= col[c1] & col[c2]``, applied to all 2^M states at once;
-``_apply_layers`` is the only code that applies gates to bit values. A
-single input is a table with one state, whose columns are 0 or 1.
+``check_stages`` runs the n-network's layers beside ``gf2.block_stages``,
+the one recurrence pass, on the same columns of either kind, and compares
+the two at every block-stage boundary.
 """
 from __future__ import annotations
 
@@ -59,7 +60,7 @@ def wire_columns(width: int) -> list[int]:
     return columns
 
 
-def _apply_layers(columns: list[int], layers: Iterable[tuple[Gate, ...]]) -> None:
+def _apply_layers(columns: list, layers: Iterable[tuple[Gate, ...]]) -> None:
     for layer in layers:
         for c1, c2, t in layer:
             columns[t] ^= columns[c1] & columns[c2]
@@ -189,10 +190,7 @@ def run_anf(circuit: Circuit) -> dict[int, Anf]:
     from .gf2 import Anf
 
     wires = [Anf.var(i) for i in range(circuit.num_qubits)]
-    for layer in circuit.layers:
-        # Snapshot not needed: supports are disjoint within a layer.
-        for c1, c2, t in layer:
-            wires[t] = wires[t] ^ (wires[c1] & wires[c2])
+    _apply_layers(wires, circuit.layers)
     return dict(enumerate(wires))
 
 
@@ -218,67 +216,60 @@ def check_anf(
     return EquivReport(mode="symbolic", states_checked=1 << width, passed=True)
 
 
-class BlockTrace(NamedTuple):
-    """Numeric (A_l(k), Z_l(k), D_l(k)) read off the running simulation."""
+class Stage(NamedTuple):
+    """Row l at block stage k: the simulated a_l (A), a_l at the stage's
+    midpoint (Z) and d_l (D), each beside its recurrence value. D is only
+    pinned at the final stage k = 2^n, where d_l is restored to its input;
+    elsewhere ``D_oracle`` is None."""
 
     l: int
     k: int
-    a: int
-    z: int
-    d: int
+    A: int | Anf
+    A_oracle: int | Anf
+    Z: int | Anf
+    Z_oracle: int | Anf
+    D: int | Anf
+    D_oracle: int | Anf | None
+
+    @property
+    def match(self) -> bool:
+        return (
+            self.A == self.A_oracle
+            and self.Z == self.Z_oracle
+            and (self.D_oracle is None or self.D == self.D_oracle)
+        )
 
 
-def trace_blocks(circuit: Circuit, n: int, bits: Sequence[int]) -> list[BlockTrace]:
-    """Run the n-network layer by layer, reading block-boundary wire values.
+def check_stages(circuit: Circuit, n: int, columns: Sequence) -> list[Stage]:
+    """Run the n-network two layers at a time beside the block recurrences.
 
     Z_l(k) is a_l after layer 4k-2; A_l(k) and D_l(k) are a_l and d_l after
-    layer 4k. The circuit must be the canonical n-network: its roles and
-    its alternating type-1/type-2 layers are checked before the run. The
-    input runs as a one-state table: column i is bit i of the input.
+    layer 4k. ``columns`` are the input, one per wire: one-state or
+    all-state int columns, or ``Anf.var`` columns. The circuit must be the
+    canonical n-network: its roles and its alternating type-1/type-2
+    layers are checked before the run.
     """
+    from .gf2 import block_stages
+
     type1, type2 = layer_templates(n)
     if circuit.roles != mqg_roles(n) or circuit.layers != (type1, type2) * 2 ** (n + 1):
         raise CircuitError("circuit is not the block-structured n-network")
-    if len(bits) != circuit.num_qubits:
+    if len(columns) != circuit.num_qubits:
         raise CircuitError(
-            f"input width {len(bits)} != circuit width {circuit.num_qubits}"
+            f"input width {len(columns)} != circuit width {circuit.num_qubits}"
         )
     # Row l's type-2 gate is T(b_l, d_l -> a_l).
     rows = [(l, d, a) for l, (_, d, a) in enumerate(type2, start=1)]
-    columns = list(bits)
-    z_at: dict[tuple[int, int], int] = {}
-    traces: list[BlockTrace] = []
-    for layer_no, layer in enumerate(circuit.layers, start=1):
-        _apply_layers(columns, (layer,))
-        if layer_no % 4 == 2:
-            k = (layer_no + 2) // 4
-            for l, _, a in rows:
-                z_at[(l, k)] = columns[a]
-        elif layer_no % 4 == 0:
-            k = layer_no // 4
-            traces += [
-                BlockTrace(l=l, k=k, a=columns[a], z=z_at[(l, k)], d=columns[d])
-                for l, d, a in rows
-            ]
-    return traces
-
-
-def oracle_trace(n: int, bits: Sequence[int]) -> dict[tuple[int, int], tuple[int, int, int | None]]:
-    """Evaluate the recurrence ANFs at one input: (l, k) -> (a, z, d or None).
-
-    d is only pinned by the oracle at the final stage k = 2^n, where d_l is
-    restored to its input value.
-    """
-    from .gf2 import block_A, block_Z, variable
-
-    m = 2**n
-    out = {}
-    for k in range(1, m + 1):
-        for l in range(1, m + 1):
-            d = variable(n, QubitRef("D", l)).evaluate(bits) if k == m else None
-            out[(l, k)] = (
-                block_A(n, l, k).evaluate(bits),
-                block_Z(n, l, k).evaluate(bits),
-                d,
-            )
-    return out
+    last = 2**n
+    wires = list(columns)
+    stages: list[Stage] = []
+    for k, (A, Z) in enumerate(block_stages(n, columns), start=1):
+        _apply_layers(wires, circuit.layers[4 * k - 4 : 4 * k - 2])
+        z = [wires[a] for _, _, a in rows]
+        _apply_layers(wires, circuit.layers[4 * k - 2 : 4 * k])
+        stages += [
+            Stage(l, k, wires[a], A[l], z[l - 1], Z[l], wires[d],
+                  columns[d] if k == last else None)
+            for l, d, a in rows
+        ]
+    return stages

@@ -4,6 +4,8 @@ The masks are written from the documented flat wire order (a_0 at index
 0, then b_l, c_l, d_l, a_l at 4l-3 .. 4l for rows l = 1..2^n), not read
 from the package, and the truth tables are plain per-state loops.
 """
+from functools import lru_cache
+
 import numpy as np
 
 from mqgsim.gf2 import Anf
@@ -27,6 +29,33 @@ def closed_form_outputs(n):
     t = width - 1
     out[t] = Anf([[i for i in range(width) if control >> i & 1]]) ^ out[t]
     return out
+
+
+@lru_cache(maxsize=None)
+def _factors(monomials):
+    """Each monomial's variable indices, lowest first."""
+    return tuple(tuple(v for v in range(m.bit_length()) if m >> v & 1) for m in monomials)
+
+
+def evaluate(poly, columns, ones=1):
+    """XOR over the monomials of ``poly`` of the AND of their variables' columns.
+
+    Columns are bit-sliced, indexed by variable (a list or a dict), and each
+    AND starts from ``ones``, the all-ones column; a single state has
+    columns 0 or 1 and ones = 1.
+    """
+    acc = 0
+    try:
+        for factors in _factors(poly.monomials):
+            term = ones
+            for v in factors:
+                term &= columns[v]
+                if not term:
+                    break
+            acc ^= term
+    except (KeyError, IndexError) as e:
+        raise ValueError(f"assignment missing variable {e}") from e
+    return acc
 
 
 def mcx_table(control, target, width):

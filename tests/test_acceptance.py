@@ -19,12 +19,11 @@ from mqgsim.nmr import (
     verify_identity,
 )
 from mqgsim.sim import (
+    check_stages,
     mcx_oracle,
-    oracle_trace,
     output_columns,
     run_all,
     run_anf,
-    trace_blocks,
     wire_columns,
 )
 from mqgsim.synthesis import (
@@ -75,16 +74,11 @@ def test_criterion_3_symbolic_n3():
 
 def test_criterion_4_block_recurrences():
     ok = True
+    # Every input at once (512 at n=1, 131072 at n=2), bit-sliced.
     for n in (1, 2):
         c = network(n)
-        width = c.num_qubits
-        rng = np.random.default_rng(2024 + n)
-        for _ in range(1000):
-            bits = tuple(int(b) for b in rng.integers(0, 2, width))
-            oracle = oracle_trace(n, bits)
-            for t in trace_blocks(c, n, bits):
-                oa, oz, od = oracle[(t.l, t.k)]
-                ok &= (t.a, t.z) == (oa, oz) and (od is None or t.d == od)
+        stages = check_stages(c, n, wire_columns(c.num_qubits))
+        ok &= len(stages) == 4**n and all(st.match for st in stages)
 
     # The worked stage-2 forms at n=1, as exact ANF identities.
     from mqgsim.gf2 import control_product, variable

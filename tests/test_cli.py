@@ -326,6 +326,39 @@ def test_trace_text_output(capsys):
     assert stdout.count("ok") == 4
 
 
+def test_trace_text_out_writes_the_file(tmp_path, capsys):
+    _, table, _ = run_cli(capsys, "trace", "--n", "1", "--input", "111110000")
+    out = tmp_path / "t.txt"
+    code, stdout, err = run_cli(
+        capsys, "trace", "--n", "1", "--input", "111110000", "--out", str(out)
+    )
+    assert (code, stdout, err) == (0, "", "")
+    assert out.read_text(encoding="utf-8") == table
+
+
+# Runs main() on argv in a fresh interpreter and prints its exit code and
+# peak RSS (ru_maxrss, KiB on Linux).
+_PEAK = """
+import resource, sys
+from mqgsim.cli import main
+code = main(sys.argv[1:])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_trace_n7_peak_memory(tmp_path):
+    # 513 wires, 512 stage boundaries of 128 rows, one input state.
+    bits = "01" * 256 + "1"
+    done = child(
+        "-c", _PEAK, "trace", "--n", "7", "--input", bits,
+        "--format", "json", "--out", str(tmp_path / "t.json"),
+    )
+    code, peak_kib = map(int, done.stdout.split())
+    assert code == 0
+    assert json.loads((tmp_path / "t.json").read_text())["report"]["pass"] is True
+    assert peak_kib < 200 * 1024
+
+
 def test_trace_json_all_zero_input(capsys):
     code, stdout, _ = run_cli(
         capsys, "trace", "--n", "1", "--input", "0" * 9, "--format", "json"

@@ -3,21 +3,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mqgsim.circuit import Circuit, CircuitError, QubitRef, mqg_roles
-from mqgsim.gf2 import Anf
+from mqgsim.gf2 import Anf, block_A, block_Z
 from mqgsim.sim import (
+    Stage,
     bitstring,
     check_anf,
+    check_stages,
     mcx_oracle,
-    oracle_trace,
     output_columns,
     run_all,
     run_anf,
-    trace_blocks,
     wire_columns,
 )
 from mqgsim.synthesis import synth_mqg_network
 from network_reference import (
     closed_form_outputs,
+    evaluate,
     mcx_table,
     network_masks,
     run_word,
@@ -46,7 +47,7 @@ def row(columns, s):
 def evaluate_all(polys, width):
     """Output ANFs evaluated on every basis state at once, bit-sliced."""
     wires, ones = wire_columns(width), (1 << (1 << width)) - 1
-    return [polys[i].evaluate(wires, ones) for i in range(width)]
+    return [evaluate(polys[i], wires, ones) for i in range(width)]
 
 
 @st.composite
@@ -88,7 +89,7 @@ def test_run_basis_empty_circuit():
 def test_run_basis_width_mismatch():
     # A one-state table must have one column per wire.
     with pytest.raises(CircuitError, match="input width 2 != circuit width 9"):
-        trace_blocks(network(1), 1, (0, 1))
+        check_stages(network(1), 1, (0, 1))
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -182,14 +183,15 @@ def test_layer_order_within_layer_is_irrelevant():
 def test_trace_blocks_matches_worked_example():
     c = network(1)
     bits = (1, 1, 1, 1, 1, 0, 0, 0, 0)
-    traces = {(t.l, t.k): t for t in trace_blocks(c, 1, bits)}
+    stages = {(st.l, st.k): st for st in check_stages(c, 1, bits)}
     # Z_1(1) = B1 (A0 C1 + D1) + A1 = 1*(1+1)+1 = 1
-    assert traces[(1, 1)].z == 1
+    assert stages[(1, 1)].Z == 1
     # A_1(2) = A1 = 1 and Z_1(2) = B1 D1 + A1 = 0
-    assert traces[(1, 2)].a == 1
-    assert traces[(1, 2)].z == 0
+    assert stages[(1, 2)].A == 1
+    assert stages[(1, 2)].Z == 0
     # D_1(2) = D1 = 1
-    assert traces[(1, 2)].d == 1
+    assert stages[(1, 2)].D == 1
+    assert all(st.match for st in stages.values())
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -199,24 +201,73 @@ def test_trace_blocks_matches_oracle_randomized(n):
     width = c.num_qubits
     for _ in range(200):
         bits = tuple(int(b) for b in rng.integers(0, 2, width))
-        oracle = oracle_trace(n, bits)
-        for t in trace_blocks(c, n, bits):
-            oa, oz, od = oracle[(t.l, t.k)]
-            assert (t.a, t.z) == (oa, oz)
-            if od is not None:
-                assert t.d == od
+        stages = check_stages(c, n, bits)
+        assert len(stages) == 4**n
+        for st in stages:
+            assert st.match
+            # The one-state recurrences agree with their ANFs at this input.
+            assert st.A_oracle == evaluate(block_A(n, st.l, st.k), bits)
+            assert st.Z_oracle == evaluate(block_Z(n, st.l, st.k), bits)
 
 
 def test_trace_blocks_rejects_foreign_circuit():
     c = network(1)
     mutated = Circuit(c.roles, c.layers[:-1])
     with pytest.raises(CircuitError):
-        trace_blocks(mutated, 1, (0,) * 9)
+        check_stages(mutated, 1, (0,) * 9)
     swapped = Circuit(c.roles, c.layers[1:2] + c.layers[:1] + c.layers[2:])
     with pytest.raises(CircuitError):
-        trace_blocks(swapped, 1, (0,) * 9)
+        check_stages(swapped, 1, (0,) * 9)
     with pytest.raises(CircuitError):
-        trace_blocks(c, 2, (0,) * 9)
+        check_stages(c, 2, (0,) * 9)
+
+
+def test_check_stages_exhaustive_matches_one_state_runs():
+    # Bit s of every field of the all-state run is that field of the
+    # one-state run on input s.
+    c = network(1)
+    columns = wire_columns(c.num_qubits)
+    everything = check_stages(c, 1, columns)
+    assert all(st.match for st in everything)
+    for s in range(1 << c.num_qubits):
+        one = check_stages(c, 1, row(columns, s))
+        assert [(st.l, st.k) for st in one] == [(st.l, st.k) for st in everything]
+        for big, small in zip(everything, one):
+            for field in Stage._fields[2:]:
+                value = getattr(big, field)
+                assert (None if value is None else value >> s & 1) == getattr(small, field)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_check_stages_final_stage_is_the_output(n):
+    c = network(n)
+    idx = {ref: i for i, ref in enumerate(c.roles)}
+    outs = output_columns(c)
+    final = [st for st in check_stages(c, n, wire_columns(c.num_qubits)) if st.k == 2**n]
+    assert [st.l for st in final] == list(range(1, 2**n + 1))
+    for st in final:
+        a, d = outs[idx[QubitRef("A", st.l)]], outs[idx[QubitRef("D", st.l)]]
+        assert (st.A, st.A_oracle, st.D, st.D_oracle) == (a, a, d, d)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_check_stages_symbolic(n):
+    # The exact stage check: the layers and the recurrences on ANF columns.
+    c = network(n)
+    stages = check_stages(c, n, [Anf.var(i) for i in range(c.num_qubits)])
+    assert len(stages) == 4**n
+    assert all(st.match for st in stages)
+    assert all(st.A_oracle == block_A(n, st.l, st.k) for st in stages)
+    assert all(st.Z_oracle == block_Z(n, st.l, st.k) for st in stages)
+    assert [st.D_oracle is None for st in stages] == [st.k < 2**n for st in stages]
+
+
+def test_stage_match_reads_every_pinned_field():
+    assert Stage(1, 1, 0, 0, 1, 1, 0, None).match
+    assert Stage(1, 1, 0, 0, 1, 1, 1, None).match  # D is free before the last stage
+    assert not Stage(1, 1, 1, 0, 1, 1, 0, None).match
+    assert not Stage(1, 1, 0, 0, 0, 1, 0, None).match
+    assert not Stage(1, 2, 0, 0, 1, 1, 1, 0).match
 
 
 def test_backend_agreement_n1():
@@ -230,8 +281,8 @@ def test_backend_agreement_n1():
         basis = run_word(c, s)
         assert word(row(outs, s)) == basis
         # The output ANFs on a one-state table, and on a dict assignment.
-        assert word([anf_out[i].evaluate(bits) for i in range(9)]) == basis
-        assert word([anf_out[i].evaluate(dict(enumerate(bits))) for i in range(9)]) == basis
+        assert word([evaluate(anf_out[i], bits) for i in range(9)]) == basis
+        assert word([evaluate(anf_out[i], dict(enumerate(bits))) for i in range(9)]) == basis
 
 
 def test_equiv_report_json_schema():
