@@ -3,7 +3,7 @@
 Exit codes: 0 success/pass, 1 verification failure, 2 usage or parse error.
 All randomness flows from --seed, so identical invocations produce
 byte-identical JSON. Each subcommand imports the modules it runs when it
-runs, so a circuit command never loads the NMR numerics and nmr-verify
+runs, so a circuit command never loads the NMR module and nmr-verify
 never loads the circuit stack.
 """
 from __future__ import annotations
@@ -18,6 +18,11 @@ from . import __version__
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+
+# Largest n that `trace` runs. It holds all 4^n Stage records and, for
+# --format json, their dicts and the whole text: about 2 kB per record, so
+# n = 8 peaks at 149 MB RSS and n = 9 at 550 MB.
+TRACE_LIMIT = 8
 
 
 def _write(text: str, args) -> None:
@@ -125,11 +130,13 @@ def cmd_nmr_verify(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    n = args.n
+    if n > TRACE_LIMIT:
+        raise ValueError(f"n={n} is over the trace limit of {TRACE_LIMIT} ({4**n} stage records)")
     from .circuit import CircuitError
     from .sim import check_stages
     from .synthesis import synth_mqg_network
 
-    n = args.n
     circuit = synth_mqg_network(n)
     if len(args.input) != circuit.num_qubits or set(args.input) - {"0", "1"}:
         raise CircuitError(
@@ -196,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="six coupling strengths; default drawn from --seed",
     )
     p.add_argument("--t", type=float, default=0.7)
-    p.add_argument("--trials", type=int, default=20, help="no effect; all states are checked")
+    p.add_argument("--trials", type=int, default=20, help="no effect; every term is checked")
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=str, default=None)

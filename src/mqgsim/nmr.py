@@ -4,18 +4,18 @@ The lattice has 4 spins per row (roles A, B, C, D) with six coupling
 classes a..f. All Hamiltonian terms are diagonal ZZ products, so free
 evolution segments commute exactly; a refocusing sequence interleaves four
 evolution segments with simultaneous pi-pulses on whole frequency classes,
-cancelling every coupling except one, which survives at 4t. Both the sign
-algebra and the basis action (each basis state's image and phase) are
-exact, so the check tolerance is pure floating-point slack.
+cancelling every coupling except one, which survives at 4t. The sign
+algebra and the term-by-term check of the sequence's action are both
+exact integer bookkeeping, so the check tolerance is pure floating-point
+slack, and neither needs the 2^N basis states.
 """
 from __future__ import annotations
 
+import cmath
 import math
+import random
 from collections import namedtuple
-from typing import TYPE_CHECKING, NamedTuple
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import NamedTuple
 
 PULSE_CLASSES = ("A_odd", "A_even", "B", "C", "D_odd", "D_even")
 
@@ -23,9 +23,11 @@ PULSE_CLASSES = ("A_odd", "A_even", "B", "C", "D_odd", "D_even")
 # identity the sequence realizes).
 KIND_TARGET = {1: "a", 2: "b", 3: "c", 4: "d", 5: "e", 6: "f"}
 
-# Largest lattice the numerics will take: about 56 bytes per basis state at
-# peak, so `nmr-verify --kind 1 --rows 6` (24 spins) reaches 932 MB RSS.
-SPIN_LIMIT = 24
+# Largest lattice LatticeConfig takes. The check itself is O(terms), but
+# each report carries a sign_table row per term, so peak RSS grows about
+# 70 kB per row for `nmr-verify --kind all`: 83 MB and 2.0 s at 1024 rows,
+# 292 MB and 8.8 s at 4096 (shared 2-CPU machine, Python 3.11).
+ROW_LIMIT = 1024
 
 
 class LatticeError(ValueError):
@@ -61,6 +63,8 @@ class LatticeConfig(namedtuple("LatticeConfig", "rows couplings boundary")):
     ):
         if rows < 2:
             raise LatticeError(f"need at least 2 rows, got {rows}")
+        if rows > ROW_LIMIT:
+            raise LatticeError(f"{rows} rows is over the limit of {ROW_LIMIT}")
         if len(couplings) != 6:
             raise LatticeError("expected six couplings (a, b, c, d, e, f)")
         if not all(math.isfinite(c) for c in couplings):
@@ -90,10 +94,11 @@ class LatticeConfig(namedtuple("LatticeConfig", "rows couplings boundary")):
 
 
 def seeded_couplings(seed: int) -> tuple[float, ...]:
-    """Six couplings drawn uniformly from [0.2, 2.0) with numpy's default_rng(seed)."""
-    import numpy as np
-
-    return tuple(float(x) for x in np.random.default_rng(seed).uniform(0.2, 2.0, size=6))
+    """Six couplings drawn uniformly from [0.2, 2.0] with random.Random(seed)."""
+    if seed < 0:
+        raise LatticeError(f"seed must be >= 0, got {seed}")
+    rng = random.Random(seed)
+    return tuple(rng.uniform(0.2, 2.0) for _ in range(6))
 
 
 class ZZTerm(NamedTuple):
@@ -225,34 +230,6 @@ def effective_evolution(seq: RefocusSequence, cfg: LatticeConfig) -> EffectiveEv
     return EffectiveEvolution(tuple(surviving), complex((-1j) ** pulsed), tuple(table), net)
 
 
-def _energy(terms, num_spins: int) -> np.ndarray:
-    """sum coeff Z_i Z_j at every basis state; bit k of the index is spin k.
-
-    Built one spin at a time: adding spin k doubles the array, and the
-    terms whose higher spin is k add +field or -field to the two halves,
-    where field(s) = sum coeff Z_i(s) over their lower spins i, read from
-    the bits of s. Every array of the numerics is sized here first, so the
-    spin limit is enforced before any of them is allocated.
-    """
-    if num_spins > SPIN_LIMIT:
-        raise LatticeError(
-            f"{num_spins} spins is over the limit of {SPIN_LIMIT} "
-            f"({1 << num_spins} basis states)"
-        )
-    import numpy as np
-
-    energy = np.zeros(1)
-    for k in range(num_spins):
-        low = np.arange(energy.size)
-        field = np.zeros(energy.size)
-        for term in terms:
-            i, j = sorted((spin_index(term.i), spin_index(term.j)))
-            if j == k:
-                field += term.coeff * (1.0 - 2.0 * ((low >> i) & 1))
-        energy = np.concatenate((energy + field, energy - field))
-    return energy
-
-
 def pulse_operator(group: PulseGroup, cfg: LatticeConfig) -> tuple[int, complex]:
     """(xor mask, phase) of the simultaneous pi-pulse: -i X per spin."""
     spins = group.spins(cfg)
@@ -262,28 +239,24 @@ def pulse_operator(group: PulseGroup, cfg: LatticeConfig) -> tuple[int, complex]
     return mask, complex((-1j) ** len(spins))
 
 
-def sequence_action(seq: RefocusSequence, cfg: LatticeConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Exact action U|s> = phase[s] |image[s]> of U = E P1 E P2 E P3 E P4.
+def pair_sign_total(i: int, j: int, masks) -> int | None:
+    """u such that the segments' z_i z_j signs sum to u z_i z_j(s) at every s.
 
-    A pi-pulse sends |s> to a constant phase times |s ^ mask>, and a free
-    evolution E multiplies |s> by exp(-i t E(s)), so U maps each basis
-    state to one basis state. Only the pulse masks and the Hamiltonian are
-    read, never the sign algebra, so the two stay independent checks.
+    Runs the pair's four local states (the values of bits i and j) through
+    ``masks`` in order, flipping by each mask and then adding z_i z_j of
+    the image, as the sequence does to a whole basis state. None if the
+    four totals are not one u times z_i z_j (never for pulses of X's).
     """
-    import numpy as np
-
-    energy = _energy(build_hamiltonian(cfg), cfg.num_spins)
-    image = np.arange(energy.size)
-    angle = np.zeros(energy.size)
-    pulse_phase = complex(1.0)
-    for group in reversed(seq.groups):
-        mask, phase = pulse_operator(group, cfg)
-        image ^= mask
-        angle += energy[image]
-        pulse_phase *= phase
-    phase = np.exp(-1j * seq.t * angle)
-    phase *= pulse_phase
-    return image, phase
+    units = set()
+    for a0 in (0, 1):
+        for b0 in (0, 1):
+            a, b, total = a0, b0, 0
+            for mask in masks:
+                a ^= mask >> i & 1
+                b ^= mask >> j & 1
+                total += 1 - 2 * (a ^ b)
+            units.add(total * (1 - 2 * (a0 ^ b0)))
+    return units.pop() if len(units) == 1 else None
 
 
 def _spin_bits(state: int, num_spins: int) -> str:
@@ -301,7 +274,7 @@ class VerifyReport(NamedTuple):
     couplings: tuple[float, ...]
     t: float
     max_deviation: float | None  # None when some basis state is moved
-    counterexample: dict | None  # first failing basis state; None on pass
+    counterexample: dict | None  # moved state 0 or first failing pair; None on pass
     global_phase: tuple[float, float]  # (real, imag)
     sign_table: tuple[dict, ...]
     matches_published: bool
@@ -321,15 +294,23 @@ def verify_identity(
     tol: float = 1e-10,
     sequence: RefocusSequence | None = None,
 ) -> VerifyReport:
-    """Compare the sequence's exact basis action with the refocused evolution.
+    """Check the sequence's exact action term by term against the sign algebra.
 
-    The sequence passes when it fixes every basis state s and gives it the
-    phase phi(s) = g d(s) up to ``tol``, where d is the diagonal of
-    e^(-i sum surviving ZZ) from the independent sign algebra and
-    g = phi(0)/d(0) is the global phase. ``counterexample`` names the first
-    failing state, with its image if it is moved (as by a mutated sequence
-    whose net pulse product is not the identity) or else its deviation.
-    ``matches_published`` records
+    Every Hamiltonian term is a diagonal Z_i Z_j and every pulse is a
+    product of X's, so the sequence maps each basis state s to one state
+    times exp(-i sum_terms u t coeff z_i z_j(s)), where u is the pair's
+    sign total over the four segments (``pair_sign_total``, read from the
+    pulse masks and never from the sign algebra). The sequence passes when
+    its net pulse mask is 0 and every term's residual r = u t coeff - c is
+    within ``tol``, where c is the term's surviving coefficient from
+    ``effective_evolution`` (0 if it does not survive); both sides are
+    computed in the same operand order, so a true identity gives r = 0.0
+    exactly at any t. ``max_deviation`` is max |r| (None when the net mask
+    moves basis states), and ``global_phase`` is the pulses' phase times
+    exp(-i sum r). ``counterexample`` is None on a pass; otherwise state 0
+    and its ``image`` if the net mask is not 0 (as for a mutated sequence),
+    or else the first failing ``pair`` in Hamiltonian order and its
+    ``deviation`` |r|; a NaN residual fails. ``matches_published`` records
     whether the surviving set is exactly the one coupling class at 4t that
     the kind is meant to isolate (true on every even-row or open lattice;
     an odd periodic ring has a parity seam that defeats kinds 3 and 6).
@@ -339,7 +320,6 @@ def verify_identity(
         raise LatticeError(f"evolution time t must be finite and >= 0, got {t}")
     if not 0.0 <= tol < math.inf:
         raise LatticeError(f"tolerance must be finite and >= 0, got {tol}")
-    import numpy as np
 
     seq = canonical_sequence(kind, t) if sequence is None else sequence
     eff = effective_evolution(seq, cfg)
@@ -353,26 +333,37 @@ def verify_identity(
         and not eff.net_flips
     )
 
-    n = cfg.num_spins
-    # An overflowing energy gives NaN phases, which the check below fails.
-    with np.errstate(over="ignore", invalid="ignore"):
-        image, phase = sequence_action(seq, cfg)
-        target = np.exp(-1j * _energy(eff.surviving, n))
-        g = complex(phase[0] / target[0])
-        max_deviation = counterexample = None
-        moved = np.flatnonzero(image != np.arange(image.size))
-        if moved.size:
-            s = int(moved[0])
-            counterexample = {"state": _spin_bits(s, n), "image": _spin_bits(int(image[s]), n)}
-        else:
-            target *= g
-            phase -= target  # in place: the deviation, with no extra 2^N temporaries
-            deviation = np.abs(phase)
-            max_deviation = float(deviation.max())
-            bad = np.flatnonzero(~(deviation <= tol))  # an overflow to NaN fails too
-            if bad.size:
-                s = int(bad[0])
-                counterexample = {"state": _spin_bits(s, n), "deviation": float(deviation[s])}
+    # U = E P1 E P2 E P3 E P4 acts right to left: P4 flips first.
+    masks, pulse_phase, net = [], complex(1.0), 0
+    for group in reversed(seq.groups):
+        mask, phase = pulse_operator(group, cfg)
+        masks.append(mask)
+        pulse_phase *= phase
+        net ^= mask
+    residuals = []  # (pair, r) in Hamiltonian order
+    for term in build_hamiltonian(cfg):
+        u = pair_sign_total(spin_index(term.i), spin_index(term.j), masks)
+        c = surviving.pop((term.i, term.j), 0.0)
+        r = math.nan if u is None else u * seq.t * term.coeff - c
+        residuals.append((f"{term.i}-{term.j}", r))
+    # A surviving term on no Hamiltonian pair is residual in full.
+    residuals += [(f"{i}-{j}", -c) for (i, j), c in surviving.items()]
+
+    deviations = [abs(r) for _, r in residuals]
+    total = sum(r for _, r in residuals)
+    g = complex(math.nan, math.nan)  # an overflowed residual leaves no phase
+    if math.isfinite(total):
+        g = pulse_phase * cmath.exp(-1j * total)
+    max_deviation = counterexample = None
+    if net:
+        n = cfg.num_spins
+        counterexample = {"state": _spin_bits(0, n), "image": _spin_bits(net, n)}
+    else:
+        max_deviation = math.nan if any(map(math.isnan, deviations)) else max(deviations)
+        for (pair, _), d in zip(residuals, deviations):
+            if not d <= tol:  # NaN fails too
+                counterexample = {"pair": pair, "deviation": d}
+                break
     return VerifyReport(
         kind=kind,
         target_coupling=KIND_TARGET[kind],

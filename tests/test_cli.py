@@ -114,7 +114,8 @@ def test_circuit_commands_never_import_numpy(tmp_path):
 
 
 def test_only_nmr_imports_numpy():
-    # Anywhere in a module, not only at the top: function-local imports count.
+    # No module in src/ imports numpy, anywhere in the module: function-local
+    # and TYPE_CHECKING imports count too.
     importers = set()
     for path in Path(mqgsim.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -126,15 +127,15 @@ def test_only_nmr_imports_numpy():
                 continue
             if any(name.split(".")[0] == "numpy" for name in names):
                 importers.add(path.name)
-    assert importers == {"nmr.py"}
+    assert importers == set()
 
 
 def test_nmr_verify_in_fresh_interpreter():
-    # nmr-verify still imports numpy when it needs it, and the probe sees it.
     codes, modules = probe(["nmr-verify", "--kind", "1", "--rows", "2", "--seed", "5"])
     assert codes == [0]
-    assert {"numpy", "mqgsim.nmr"} <= modules
+    assert "mqgsim.nmr" in modules
     assert not modules & {
+        "numpy",
         "dataclasses",
         "mqgsim.circuit",
         "mqgsim.sim",
@@ -285,11 +286,41 @@ def test_nmr_verify_trials_has_no_effect(capsys):
 
 
 def test_nmr_verify_over_spin_limit(capsys, monkeypatch):
-    monkeypatch.setattr(nmr, "SPIN_LIMIT", 8)
+    # Checked when the lattice is made, before any term is built.
+    monkeypatch.setattr(nmr, "ROW_LIMIT", 2)
+    monkeypatch.setattr(nmr, "build_hamiltonian", None)
     code, stdout, err = run_cli(capsys, "nmr-verify", "--kind", "1", "--rows", "3")
     assert code == 2
     assert stdout == ""
-    assert err.startswith("error: 12 spins is over the limit of 8")
+    assert err == "error: 3 rows is over the limit of 2\n"
+
+
+def test_nmr_verify_long_time(capsys):
+    # The dense check reported false failures here (max deviation ~4.7e-10).
+    code, stdout, _ = run_cli(capsys, "nmr-verify", "--kind", "all", "--rows", "4", "--t", "1e5")
+    assert code == 0
+    assert all(i["max_deviation"] == 0.0 for i in json.loads(stdout)["report"]["identities"])
+
+
+def test_nmr_verify_without_numpy():
+    # A fresh interpreter in which `import numpy` fails.
+    done = child(
+        "-c",
+        "import sys; sys.modules['numpy'] = None; from mqgsim.cli import main; "
+        "sys.exit(main(sys.argv[1:]))",
+        "nmr-verify", "--kind", "all", "--rows", "64",
+    )
+    assert json.loads(done.stdout)["report"]["pass"] is True
+
+
+def test_nmr_verify_seed_draws_couplings(capsys):
+    _, stdout, _ = run_cli(capsys, "nmr-verify", "--kind", "1", "--seed", "5")
+    assert json.loads(stdout)["report"]["identities"][0]["couplings"] == list(
+        nmr.seeded_couplings(5)
+    )
+    code, stdout, err = run_cli(capsys, "nmr-verify", "--seed", "-1")
+    assert (code, stdout) == (2, "")
+    assert err == "error: seed must be >= 0, got -1\n"
 
 
 def test_nmr_verify_overflow_fails_without_warnings():
@@ -357,6 +388,26 @@ def test_trace_n7_peak_memory(tmp_path):
     assert code == 0
     assert json.loads((tmp_path / "t.json").read_text())["report"]["pass"] is True
     assert peak_kib < 200 * 1024
+
+
+# Runs main() on argv in a fresh interpreter whose address space is capped
+# at 256 MiB, and prints its exit code. A child's ru_maxrss starts at the
+# forking process's peak, so the cap, not ru_maxrss, bounds what it built.
+_CAPPED = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+from mqgsim.cli import main
+print(main(sys.argv[1:]))
+"""
+
+
+def test_trace_over_trace_limit_builds_nothing():
+    # Refused before synthesis: n = 10 would hold about 2.2 GB of records.
+    done = child("-c", _CAPPED, "trace", "--n", "10", "--input", "0" * 4097, check=False)
+    assert done.stdout == "2\n"
+    assert done.stderr == "error: n=10 is over the trace limit of 8 (1048576 stage records)\n"
+    done = child("-c", _CAPPED, "trace", "--n", "8", "--input", "0" * 1025)
+    assert done.stdout.endswith("0\n")
 
 
 def test_trace_json_all_zero_input(capsys):

@@ -1,9 +1,12 @@
 import json
+import math
+import random
 import warnings
 
 import numpy as np
 import pytest
 
+import nmr_reference
 from mqgsim import nmr
 from mqgsim.nmr import (
     KIND_TARGET,
@@ -12,15 +15,18 @@ from mqgsim.nmr import (
     PulseGroup,
     RefocusSequence,
     SpinRef,
+    ZZTerm,
     build_hamiltonian,
     canonical_sequence,
     effective_evolution,
+    pair_sign_total,
     pulse_operator,
-    sequence_action,
+    seeded_couplings,
     spin_index,
     target_terms,
     verify_identity,
 )
+from nmr_reference import _energy, dense_verdict, sequence_action
 
 
 def cfg_random(rows=2, boundary="periodic", seed=0):
@@ -185,8 +191,8 @@ def test_effective_evolution_matches_published(kind, boundary):
 def test_zz_terms_commute_numerically():
     cfg = cfg_random(2)
     terms = build_hamiltonian(cfg)
-    e1 = nmr._energy(terms, cfg.num_spins)
-    e2 = nmr._energy(list(reversed(terms)), cfg.num_spins)
+    e1 = _energy(terms, cfg.num_spins)
+    e2 = _energy(list(reversed(terms)), cfg.num_spins)
     assert np.max(np.abs(e1 - e2)) < 1e-14
 
 
@@ -216,13 +222,11 @@ def test_apply_sequence_preserves_norm():
 
 
 def test_apply_sequence_dimension_mismatch(monkeypatch):
-    # Over the spin limit both entry points refuse before building an array.
-    monkeypatch.setattr(nmr, "SPIN_LIMIT", 7)
-    cfg = cfg_random(2)
-    with pytest.raises(LatticeError, match="over the limit of 7"):
-        sequence_action(canonical_sequence(1, 0.1), cfg)
-    with pytest.raises(LatticeError, match="over the limit of 7"):
-        verify_identity(1, cfg, t=0.1)
+    # Over the row limit no lattice is built, so no check can start.
+    monkeypatch.setattr(nmr, "ROW_LIMIT", 2)
+    with pytest.raises(LatticeError, match="3 rows is over the limit of 2"):
+        cfg_random(3)
+    assert cfg_random(2).rows == 2
 
 
 @pytest.mark.parametrize("kind,drop", [(k, None) for k in range(1, 7)] + [(1, "B")])
@@ -332,3 +336,153 @@ def test_verify_identity_odd_periodic_parity_seam():
 
 def test_kind_targets():
     assert KIND_TARGET == {1: "a", 2: "b", 3: "c", 4: "d", 5: "e", 6: "f"}
+
+
+def single_deletions(seq):
+    """Every sequence with one pulse class dropped from one group."""
+    return [
+        drop_pulse(seq, gi, cls)
+        for gi, group in enumerate(seq.groups)
+        for cls in sorted(group.classes)
+    ]
+
+
+def paired_deletions(seq):
+    """Every sequence with one class dropped from both plain groups (0, 2)
+    or both extra groups (1, 3); the net pulse mask stays 0."""
+    return [
+        drop_pulse(drop_pulse(seq, first, cls), first + 2, cls)
+        for first in (0, 1)
+        for cls in sorted(seq.groups[first].classes)
+    ]
+
+
+def test_local_check_agrees_with_dense_action():
+    # Each canonical sequence and every single-pulse deletion, on rows 2-4
+    # and both boundaries: the same verdict, and the same moved state.
+    checked = 0
+    for rows in (2, 3, 4):
+        for boundary in ("periodic", "open"):
+            cfg = cfg_random(rows, boundary, seed=rows)
+            for kind in range(1, 7):
+                seq = canonical_sequence(kind, 0.7)
+                for s in [seq] + single_deletions(seq):
+                    rep = verify_identity(kind, cfg, t=0.7, sequence=s)
+                    passed, cex = dense_verdict(s, cfg)
+                    assert rep.passed == passed
+                    moved = cex is not None and "image" in cex
+                    assert moved == (rep.max_deviation is None)
+                    if moved:
+                        assert rep.counterexample == cex
+                    checked += 1
+    assert checked == 420
+
+
+def test_local_check_agrees_on_net_zero_deletions():
+    # These sequences refocus some other set of couplings. The sign algebra
+    # reads that set off the same pulses, so both checks pass.
+    for rows, boundary in ((2, "periodic"), (3, "open")):
+        cfg = cfg_random(rows, boundary, seed=9)
+        for kind in range(1, 7):
+            for s in paired_deletions(canonical_sequence(kind, 0.7)):
+                rep = verify_identity(kind, cfg, t=0.7, sequence=s)
+                assert rep.passed and rep.max_deviation == 0.0
+                assert dense_verdict(s, cfg) == (True, None)
+
+
+@pytest.mark.parametrize("kind", range(1, 7))
+def test_pair_sign_total_matches_sign_algebra(kind):
+    # Two independent readings of the same pulses: the local states' sign
+    # total and the sign algebra's per-segment signs. They agree whenever
+    # the net pulse mask is 0 (the sign algebra counts flips from the left,
+    # the action from the right).
+    cfg = cfg_random(3, "periodic")
+    seq = canonical_sequence(kind, 0.7)
+    for s in [seq] + paired_deletions(seq):
+        masks = [pulse_operator(g, cfg)[0] for g in reversed(s.groups)]
+        table = effective_evolution(s, cfg).sign_table
+        for term, row in zip(build_hamiltonian(cfg), table):
+            u = pair_sign_total(spin_index(term.i), spin_index(term.j), masks)
+            assert u == sum(row["signs"])
+
+
+@pytest.mark.parametrize("kind", range(1, 7))
+def test_verify_identity_long_time_is_exact(kind):
+    # The dense check's phase error grew with t|E| and failed these at
+    # t = 1e5 (max deviation about 4.7e-10); the residuals are exact.
+    rep = verify_identity(kind, cfg_random(2, seed=31), t=1e5)
+    assert rep.passed
+    assert rep.max_deviation == 0.0
+
+
+def test_local_check_rejects_residuals_that_cancel_mod_2pi(monkeypatch):
+    # A residual of pi/2 on each edge of the A1-C1-D1 triangle gives every
+    # basis state the same phase, so the dense check passes; every pair's
+    # residual must be 0, so the local check fails.
+    real = effective_evolution
+    cfg = cfg_random(2, seed=4)
+    a1, c1, d1 = SpinRef("A", 1), SpinRef("C", 1), SpinRef("D", 1)
+
+    def skewed(seq, cfg):
+        eff = real(seq, cfg)
+        terms = [t._replace(coeff=t.coeff - math.pi / 2) if (t.i, t.j) == (a1, c1) else t
+                 for t in eff.surviving]
+        terms += [ZZTerm(c1, d1, -math.pi / 2, "b", 1), ZZTerm(d1, a1, -math.pi / 2, "c", 1)]
+        return eff._replace(surviving=tuple(terms))
+
+    monkeypatch.setattr(nmr, "effective_evolution", skewed)
+    monkeypatch.setattr(nmr_reference, "effective_evolution", skewed)
+    seq = canonical_sequence(1, 0.7)
+    assert dense_verdict(seq, cfg) == (True, None)
+    rep = verify_identity(1, cfg, t=0.7)
+    assert not rep.passed
+    assert rep.counterexample == {"pair": "A1-C1", "deviation": pytest.approx(math.pi / 2)}
+    # The global phase takes up exp(-i sum r) = exp(-3i pi/2) = i.
+    pulses = real(seq, cfg).global_phase
+    assert abs(complex(*rep.global_phase) - pulses * 1j) < 1e-12
+
+
+def test_surviving_term_off_the_hamiltonian_fails(monkeypatch):
+    # A and B share no Hamiltonian term; a surviving A1-B1 term is all residual.
+    real = effective_evolution
+
+    def extra(seq, cfg):
+        eff = real(seq, cfg)
+        ghost = ZZTerm(SpinRef("A", 1), SpinRef("B", 1), 1e-3, "a", 1)
+        return eff._replace(surviving=eff.surviving + (ghost,))
+
+    monkeypatch.setattr(nmr, "effective_evolution", extra)
+    monkeypatch.setattr(nmr_reference, "effective_evolution", extra)
+    cfg = cfg_random(2, seed=5)
+    assert not dense_verdict(canonical_sequence(2, 0.7), cfg)[0]
+    rep = verify_identity(2, cfg, t=0.7)
+    assert rep.counterexample == {"pair": "A1-B1", "deviation": 1e-3}
+    assert rep.max_deviation == 1e-3
+
+
+def test_local_action_not_a_zz_phase_fails(monkeypatch):
+    # If a pair's four local totals were not one u times z_i z_j, its
+    # residual is undefined: NaN, which fails.
+    monkeypatch.setattr(nmr, "pair_sign_total", lambda i, j, masks: None)
+    rep = verify_identity(1, cfg_random(2), t=0.7)
+    assert not rep.passed
+    assert math.isnan(rep.max_deviation)
+    assert rep.counterexample["pair"] == "A1-C1"
+    assert math.isnan(rep.counterexample["deviation"])
+
+
+def test_overflow_on_a_later_term_is_nan():
+    # Only the b terms overflow (inf - inf); the a terms before them are 0.
+    rep = verify_identity(2, LatticeConfig(2, (1.0, 1e308, 1.0, 1.0, 1.0, 1.0)), t=0.7)
+    assert not rep.passed
+    assert math.isnan(rep.max_deviation)
+    assert rep.counterexample["pair"] == "C1-D1"
+
+
+def test_seeded_couplings():
+    # The documented draw: six uniform values from random.Random(seed), in order.
+    rng = random.Random(5)
+    assert seeded_couplings(5) == tuple(rng.uniform(0.2, 2.0) for _ in range(6))
+    assert seeded_couplings(5) != seeded_couplings(6)
+    with pytest.raises(LatticeError, match="seed must be >= 0"):
+        seeded_couplings(-1)
