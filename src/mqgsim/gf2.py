@@ -6,6 +6,10 @@ per-block recurrences for the intermediate values A_l(k), Z_l(k) of the
 layered network and its stage-boundary identities, which serve as an
 independent oracle for the simulator backends.
 
+``compose`` substitutes one ANF map into another, so ``sim.run_anf`` can
+square a repeated half of a circuit instead of running its gates again;
+the gate pass itself stays in ``sim._apply_layers``.
+
 ``block_stages`` is the one recurrence pass. It uses only ``&`` and ``^``
 on its input columns, so the same code runs on bit-sliced int columns
 (one state or all 2^M) and on ``Anf.var`` columns, where it gives the
@@ -100,6 +104,30 @@ class Anf:
 
     def __repr__(self) -> str:
         return f"Anf({self.to_text()})"
+
+
+def compose(outer: dict[int, Anf], inner: dict[int, Anf]) -> dict[int, Anf]:
+    """The map ``outer`` after ``inner``: ``inner[v]`` substituted for each v in ``outer``.
+
+    Both maps are keyed by variable; a variable that ``inner`` omits or
+    maps to itself is fixed. A monomial's fixed variables stay in place as
+    one mask, and only its moved variables are multiplied out, with GF(2)
+    cancellation.
+    """
+    moved = 0
+    for v, poly in inner.items():
+        if poly.monomials != {1 << v}:
+            moved |= 1 << v
+    out = {}
+    for w, poly in outer.items():
+        acc: set[int] = set()
+        for m in poly.monomials:
+            term = Anf._of(frozenset((m & ~moved,)))
+            for v in _bits(m & moved):
+                term = term & inner[v]
+            acc ^= term.monomials
+        out[w] = Anf._of(frozenset(acc))
+    return out
 
 
 def wire_names(n: int) -> list[str]:

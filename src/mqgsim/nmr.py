@@ -15,6 +15,7 @@ import cmath
 import math
 import random
 from collections import namedtuple
+from functools import lru_cache
 from typing import NamedTuple
 
 PULSE_CLASSES = ("A_odd", "A_even", "B", "C", "D_odd", "D_even")
@@ -65,6 +66,7 @@ class LatticeConfig(namedtuple("LatticeConfig", "rows couplings boundary")):
             raise LatticeError(f"need at least 2 rows, got {rows}")
         if rows > ROW_LIMIT:
             raise LatticeError(f"{rows} rows is over the limit of {ROW_LIMIT}")
+        couplings = tuple(couplings)  # hashable, for build_hamiltonian's cache
         if len(couplings) != 6:
             raise LatticeError("expected six couplings (a, b, c, d, e, f)")
         if not all(math.isfinite(c) for c in couplings):
@@ -109,8 +111,14 @@ class ZZTerm(NamedTuple):
     row: int
 
 
-def build_hamiltonian(cfg: LatticeConfig) -> list[ZZTerm]:
-    """All ZZ terms; e/f terms wrap to row 1 or are dropped at an open edge."""
+@lru_cache(maxsize=4)
+def build_hamiltonian(cfg: LatticeConfig) -> tuple[ZZTerm, ...]:
+    """All ZZ terms; e/f terms wrap to row 1 or are dropped at an open edge.
+
+    Cached per lattice, so the sign algebra, the published target and the
+    term check of one ``verify_identity`` call share one build; the terms
+    are a tuple, so no caller can change another's.
+    """
     a, b, c, d, e, f = cfg.couplings
     terms: list[ZZTerm] = []
     for l in range(1, cfg.rows + 1):
@@ -127,7 +135,7 @@ def build_hamiltonian(cfg: LatticeConfig) -> list[ZZTerm]:
             continue
         terms.append(ZZTerm(B, nxt, e, "e", l))
         terms.append(ZZTerm(nxt, D, f, "f", l))
-    return terms
+    return tuple(terms)
 
 
 class PulseGroup(namedtuple("PulseGroup", "classes")):
@@ -210,9 +218,7 @@ def effective_evolution(seq: RefocusSequence, cfg: LatticeConfig) -> EffectiveEv
     surviving = []
     table = []
     for term in build_hamiltonian(cfg):
-        signs = [
-            -1 if len(fl & {term.i, term.j}) == 1 else 1 for fl in flips
-        ]
+        signs = [-1 if (term.i in fl) != (term.j in fl) else 1 for fl in flips]
         total = sum(signs)
         table.append(
             {

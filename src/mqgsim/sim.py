@@ -5,10 +5,13 @@
 bit-sliced int columns (bit s of column i is wire i in basis state s) it
 runs all 2^M basis states at once, or one state whose columns are 0 or 1;
 on ``Anf.var`` columns it is symbolic GF(2) simulation, exact at any
-width. The single reference is ``mcx_oracle``: a multi-controlled NOT
-given by a control mask and a target mask. The exhaustive check compares
-the whole truth table with it and the symbolic check compares output ANFs
-with it; both return an EquivReport.
+width. ``run_anf`` squares where the layer sequence repeats: when its two
+halves are equal it builds the half's ANF map once, recursively, and
+composes it with itself (``gf2.compose``); it runs the gate pass only on
+a sequence whose halves differ. The single reference is ``mcx_oracle``:
+a multi-controlled NOT given by a control mask and a target mask. The
+exhaustive check compares the whole truth table with it and the symbolic
+check compares output ANFs with it; both return an EquivReport.
 
 ``check_stages`` runs the n-network's layers beside ``gf2.block_stages``,
 the one recurrence pass, on the same columns of either kind, and compares
@@ -186,11 +189,25 @@ def run_all(
 
 
 def run_anf(circuit: Circuit) -> dict[int, Anf]:
-    """Symbolic simulation, keyed by flat index; exact for any Toffoli circuit."""
-    from .gf2 import Anf
+    """Symbolic simulation, keyed by flat index; exact for any Toffoli circuit.
 
-    wires = [Anf.var(i) for i in range(circuit.num_qubits)]
-    _apply_layers(wires, circuit.layers)
+    Where the two halves of the layer sequence are equal, the half's map is
+    computed once, recursively, and composed with itself; the n-network's
+    2^(n+2) layers take n + 1 compositions. Any other sequence runs through
+    ``_apply_layers`` on ``Anf.var`` columns.
+    """
+    return _anf_map(circuit.layers, circuit.num_qubits)
+
+
+def _anf_map(layers: tuple[tuple[Gate, ...], ...], width: int) -> dict[int, Anf]:
+    from .gf2 import Anf, compose
+
+    h = len(layers) // 2
+    if h and layers[:h] == layers[h:]:
+        half = _anf_map(layers[:h], width)
+        return compose(half, half)
+    wires = [Anf.var(i) for i in range(width)]
+    _apply_layers(wires, layers)
     return dict(enumerate(wires))
 
 

@@ -2,7 +2,8 @@
 
 The masks are written from the documented flat wire order (a_0 at index
 0, then b_l, c_l, d_l, a_l at 4l-3 .. 4l for rows l = 1..2^n), not read
-from the package, and the truth tables are plain per-state loops.
+from the package, the truth tables are plain per-state loops, and the
+output ANFs are a plain per-gate loop.
 """
 from functools import lru_cache
 
@@ -61,6 +62,16 @@ def evaluate(poly, columns, ones=1):
 def mcx_table(control, target, width):
     """outputs[s] of the C^k-NOT that XORs target into s when all controls are 1."""
     return [s ^ target if s & control == control else s for s in range(1 << width)]
+
+
+def anf_outputs(circuit):
+    """Output ANFs keyed by flat index: each gate of ``circuit.layers`` in
+    turn, as t ^= c1 AND c2 on ``Anf.var`` values."""
+    wires = [Anf.var(i) for i in range(circuit.num_qubits)]
+    for layer in circuit.layers:
+        for c1, c2, t in layer:
+            wires[t] = wires[t] ^ (wires[c1] & wires[c2])
+    return dict(enumerate(wires))
 
 
 def run_word(circuit, word):

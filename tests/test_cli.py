@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -368,26 +369,47 @@ def test_trace_text_out_writes_the_file(tmp_path, capsys):
 
 
 # Runs main() on argv in a fresh interpreter and prints its exit code and
-# peak RSS (ru_maxrss, KiB on Linux).
+# its own peak RSS in KiB: VmHWM, which starts afresh at exec. A child's
+# ru_maxrss would start at the forking process's peak instead.
 _PEAK = """
-import resource, sys
+import sys
 from mqgsim.cli import main
 code = main(sys.argv[1:])
-print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+with open("/proc/self/status") as status:
+    hwm = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+print(code, hwm)
 """
+
+
+def peak_run(*argv):
+    """(exit code, peak RSS in KiB, wall seconds) of main(argv) in a fresh interpreter."""
+    start = time.perf_counter()
+    done = child("-c", _PEAK, *argv)
+    code, peak_kib = map(int, done.stdout.split())
+    return code, peak_kib, time.perf_counter() - start
 
 
 def test_trace_n7_peak_memory(tmp_path):
     # 513 wires, 512 stage boundaries of 128 rows, one input state.
     bits = "01" * 256 + "1"
-    done = child(
-        "-c", _PEAK, "trace", "--n", "7", "--input", bits,
+    code, peak_kib, _ = peak_run(
+        "trace", "--n", "7", "--input", bits,
         "--format", "json", "--out", str(tmp_path / "t.json"),
     )
-    code, peak_kib = map(int, done.stdout.split())
     assert code == 0
     assert json.loads((tmp_path / "t.json").read_text())["report"]["pass"] is True
     assert peak_kib < 200 * 1024
+
+
+def test_verify_n9_scale(tmp_path):
+    # 2049 wires and 2^20 gates; squaring the repeated layer pair takes
+    # about 0.5 s and 20 MB, where a run of every gate took about 41 s.
+    out = tmp_path / "v.json"
+    code, peak_kib, wall_s = peak_run("verify", "--n", "9", "--out", str(out))
+    assert code == 0
+    assert json.loads(out.read_text())["report"]["pass"] is True
+    assert wall_s < 20
+    assert peak_kib < 100 * 1024
 
 
 # Runs main() on argv in a fresh interpreter whose address space is capped

@@ -8,6 +8,7 @@ from mqgsim.gf2 import (
     Anf,
     block_A,
     block_Z,
+    compose,
     control_product,
     variable,
     verify_appendix,
@@ -87,6 +88,40 @@ def test_eval_is_a_homomorphism(p, q, word):
     assign = {v: (word >> v) & 1 for v in range(5)}
     assert evaluate(p ^ q, assign) == evaluate(p, assign) ^ evaluate(q, assign)
     assert evaluate(p & q, assign) == evaluate(p, assign) & evaluate(q, assign)
+
+
+def anf_maps():
+    """Maps from each of the variables 0..4 to an ANF over them."""
+    return st.lists(anfs(), min_size=5, max_size=5).map(lambda polys: dict(enumerate(polys)))
+
+
+IDENTITY = {v: Anf.var(v) for v in range(5)}
+
+
+@given(anf_maps())
+def test_compose_identity_on_either_side(f):
+    assert compose(f, IDENTITY) == f
+    assert compose(f, {}) == f  # a variable the inner map omits is fixed
+    assert compose(IDENTITY, f) == f
+
+
+@given(anf_maps(), anf_maps(), st.integers(0, 31))
+def test_compose_is_substitution(f, g, word):
+    assign = {v: (word >> v) & 1 for v in range(5)}
+    inner = {v: evaluate(g[v], assign) for v in range(5)}
+    fg = compose(f, g)
+    assert sorted(fg) == sorted(f)
+    for w in f:
+        assert evaluate(fg[w], assign) == evaluate(f[w], inner)
+
+
+def test_compose_cancels():
+    # x1 x2 after x1 -> x1 + x2, x2 -> x1 + x2 is (x1 + x2)^2 = x1 + x2.
+    f = {0: x1 & x2}
+    g = {1: x1 ^ x2, 2: x1 ^ x2}
+    assert compose(f, g) == {0: x1 ^ x2}
+    # x1 x3 after x1 -> x1 + x3 (x3 fixed) is x1 x3 + x3.
+    assert compose({0: x1 & x3}, {1: x1 ^ x3}) == {0: (x1 & x3) ^ x3}
 
 
 def test_text_form():

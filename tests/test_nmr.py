@@ -96,6 +96,15 @@ def test_hamiltonian_keeps_zero_couplings():
     assert len(e_terms) == 2 and all(t.coeff == 0.0 for t in e_terms)
 
 
+def test_verify_identity_builds_the_hamiltonian_once():
+    cfg = LatticeConfig(3, [0.5, 0.6, 0.7, 0.8, 0.9, 1.1], "open")  # any sequence
+    assert cfg.couplings == (0.5, 0.6, 0.7, 0.8, 0.9, 1.1)
+    build_hamiltonian.cache_clear()
+    for kind in range(1, 7):
+        assert verify_identity(kind, cfg, t=0.7).passed
+    assert build_hamiltonian.cache_info().misses == 1
+
+
 def test_lattice_validation():
     with pytest.raises(LatticeError):
         LatticeConfig(1, (1,) * 6)

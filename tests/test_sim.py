@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mqgsim import gf2
 from mqgsim.circuit import Circuit, CircuitError, QubitRef, mqg_roles
 from mqgsim.gf2 import Anf, block_A, block_Z
 from mqgsim.sim import (
@@ -15,8 +16,9 @@ from mqgsim.sim import (
     run_anf,
     wire_columns,
 )
-from mqgsim.synthesis import synth_mqg_network
+from mqgsim.synthesis import synth_baseline_dirty, synth_mqg_network
 from network_reference import (
+    anf_outputs,
     closed_form_outputs,
     evaluate,
     mcx_table,
@@ -50,16 +52,26 @@ def evaluate_all(polys, width):
     return [evaluate(polys[i], wires, ones) for i in range(width)]
 
 
+def roles(width):
+    return tuple(QubitRef("A", i) for i in range(width))
+
+
+@st.composite
+def random_layers(draw, width, min_layers=0, max_layers=6):
+    """Layers of disjoint gates on ``width`` wires."""
+    layers = []
+    for _ in range(draw(st.integers(min_layers, max_layers))):
+        wires = draw(st.permutations(range(width)))
+        gates = draw(st.integers(1, width // 3))
+        layers.append(tuple(tuple(wires[3 * g : 3 * g + 3]) for g in range(gates)))
+    return tuple(layers)
+
+
 @st.composite
 def small_circuits(draw):
     """Random circuits on 3..10 wires: up to six layers of disjoint gates."""
     width = draw(st.integers(3, 10))
-    layers = []
-    for _ in range(draw(st.integers(0, 6))):
-        wires = draw(st.permutations(range(width)))
-        gates = draw(st.integers(1, width // 3))
-        layers.append(tuple(tuple(wires[3 * g : 3 * g + 3]) for g in range(gates)))
-    return Circuit(tuple(QubitRef("A", i) for i in range(width)), tuple(layers))
+    return Circuit(roles(width), draw(random_layers(width)))
 
 
 def test_run_basis_all_controls():
@@ -138,6 +150,68 @@ def test_run_anf_single_toffoli():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_run_anf_matches_closed_form(n):
     assert run_anf(network(n)) == closed_form_outputs(n)
+
+
+def count_compositions(monkeypatch):
+    """Record every call of ``gf2.compose`` into the returned list."""
+    calls, compose = [], gf2.compose
+
+    def counted(outer, inner):
+        calls.append(len(outer))
+        return compose(outer, inner)
+
+    monkeypatch.setattr(gf2, "compose", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_run_anf_squares_the_network(n, monkeypatch):
+    # 2^(n+2) layers: the layer pair is squared n + 1 times.
+    calls = count_compositions(monkeypatch)
+    c = network(n)
+    assert run_anf(c) == anf_outputs(c)
+    assert len(calls) == n + 1
+
+
+def test_run_anf_matches_reference_on_every_layer_deletion(monkeypatch):
+    calls = count_compositions(monkeypatch)
+    c = network(2)
+    for drop in range(len(c.layers)):
+        mutant = Circuit(c.roles, c.layers[:drop] + c.layers[drop + 1 :])
+        assert run_anf(mutant) == anf_outputs(mutant), drop
+    assert calls == []  # an odd number of layers never squares
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_compose_of_run_anf_is_run_anf_of_the_sequence(data):
+    width = data.draw(st.integers(3, 10))
+    first = Circuit(roles(width), data.draw(random_layers(width)))
+    then = Circuit(roles(width), data.draw(random_layers(width)))
+    both = Circuit(roles(width), first.layers + then.layers)
+    assert gf2.compose(run_anf(then), run_anf(first)) == run_anf(both) == anf_outputs(both)
+
+
+@pytest.mark.parametrize("m", range(3, 10))
+def test_run_anf_matches_reference_on_v_chain(m):
+    c = synth_baseline_dirty(m)
+    assert run_anf(c) == anf_outputs(c)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_run_anf_matches_reference_on_repeated_blocks(data):
+    # A random block 2^j times over, so squaring composes maps whose
+    # monomials have several moved variables and cancel. A prefix or suffix
+    # makes the halves differ, so the sequence takes the gate pass instead.
+    width = data.draw(st.integers(3, 10))
+    layers = data.draw(random_layers(width, 1, 4)) * 2 ** data.draw(st.integers(0, 3))
+    affix = data.draw(st.sampled_from(["none", "prefix", "suffix"]))
+    if affix != "none":
+        extra = data.draw(random_layers(width, 1, 2))
+        layers = extra + layers if affix == "prefix" else layers + extra
+    c = Circuit(roles(width), layers)
+    assert run_anf(c) == anf_outputs(c)
 
 
 def test_statevector_moves_amplitude():
