@@ -34,7 +34,7 @@ def _write(text: str, args) -> None:
 
 
 def _emit(payload: dict, args) -> None:
-    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args)
+    _write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n", args)
 
 
 def _payload(args, command: str, report: dict) -> dict:

@@ -3,8 +3,8 @@
 Anf is a multilinear polynomial stored as a set of monomials, each an int
 bit mask with bit v set for flat wire index v. The module also holds the
 per-block recurrences for the intermediate values A_l(k), Z_l(k) of the
-layered network and its stage-boundary identities, which serve as an
-independent oracle for the simulator backends.
+layered network, which serve as an independent oracle for the simulator
+backends.
 
 ``compose`` substitutes one ANF map into another, so ``sim.run_anf`` can
 square a repeated half of a circuit instead of running its gates again;
@@ -12,13 +12,12 @@ the gate pass itself stays in ``sim._apply_layers``.
 
 ``block_stages`` is the one recurrence pass. It uses only ``&`` and ``^``
 on its input columns, so the same code runs on bit-sliced int columns
-(one state or all 2^M) and on ``Anf.var`` columns, where it gives the
-ANFs that ``block_A`` and ``block_Z`` read.
+(one state or all 2^M) and on ``Anf.var`` columns, where it gives every
+A_l(k) and Z_l(k) as an ANF.
 """
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple
 
 from .circuit import QubitRef, mqg_roles
 
@@ -130,27 +129,9 @@ def compose(outer: dict[int, Anf], inner: dict[int, Anf]) -> dict[int, Anf]:
     return out
 
 
-def wire_names(n: int) -> list[str]:
-    return [ref.label for ref in mqg_roles(n)]
-
-
 @lru_cache(maxsize=None)
 def _flat(n: int) -> dict[QubitRef, int]:
     return {ref: i for i, ref in enumerate(mqg_roles(n))}
-
-
-def variable(n: int, ref: QubitRef) -> Anf:
-    """ANF variable for one wire of the n-network, by flat index."""
-    return Anf.var(_flat(n)[ref])
-
-
-def _check_indices(n: int, l: int, k: int):
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if not 0 <= l <= 2**n:
-        raise ValueError(f"row index l={l} outside 0..{2**n}")
-    if not 0 <= k <= 2**n:
-        raise ValueError(f"stage index k={k} outside 0..{2**n}")
 
 
 def block_stages(n: int, columns):
@@ -174,108 +155,3 @@ def block_stages(n: int, columns):
         Z = [A[0]] + [bc[l] & A[l - 1] ^ Z[l] for l in rows]
         A = [A[0]] + [bc[l] & Z[l - 1] ^ A[l] for l in rows]
         yield A, Z
-
-
-@lru_cache(maxsize=None)
-def _block_table(n: int) -> tuple[list[list[Anf]], list[list[Anf]]]:
-    """Every A_l(k) and Z_l(k) as ANFs, indexed [k][l]; stage 0's Z row is (a_0,)."""
-    stages = list(block_stages(n, [Anf.var(i) for i in range(len(_flat(n)))]))
-    A0 = [variable(n, QubitRef("A", l)) for l in range(2**n + 1)]
-    return [A0] + [A for A, _ in stages], [A0[:1]] + [Z for _, Z in stages]
-
-
-def block_A(n: int, l: int, k: int) -> Anf:
-    """Wire value on a_l at the end of block stage k, as an ANF."""
-    _check_indices(n, l, k)
-    return _block_table(n)[0][k][l]
-
-
-def block_Z(n: int, l: int, k: int) -> Anf:
-    """Wire value on a_l at the midpoint of block stage k, as an ANF."""
-    _check_indices(n, l, k)
-    if k == 0 and l > 0:
-        raise ValueError(f"Z_{l}(0) is undefined (stage k must be >= 1 for l >= 1)")
-    return _block_table(n)[1][k][l]
-
-
-def control_product(n: int) -> Anf:
-    """A0 B1 C1 ... B_{2^n} C_{2^n} as a single monomial."""
-    p = variable(n, QubitRef("A", 0))
-    for l in range(1, 2**n + 1):
-        p = p & variable(n, QubitRef("B", l)) & variable(n, QubitRef("C", l))
-    return p
-
-
-class IdentityCheck(NamedTuple):
-    name: str
-    holds: bool
-    lhs: str
-    rhs: str
-
-
-class AppendixReport(NamedTuple):
-    n: int
-    checks: tuple[IdentityCheck, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.holds for c in self.checks)
-
-    def failures(self) -> list[IdentityCheck]:
-        return [c for c in self.checks if not c.holds]
-
-
-def verify_appendix(n: int) -> AppendixReport:
-    """Check the stage-boundary identities and the doubling step symbolically.
-
-    Covers: the closed form of A_{2^n}(2^n); restoration A_l(2^n) = A_l for
-    l < 2^n; the final Z_l(2^n) forms; D restoration via
-    B_l AND D_l = A_l(2^n) XOR Z_l(2^n); and the doubling identity
-    A_l(k) = [prod_{p<2^j} B_{l-p} C_{l-p}] A_{l-2^j}(k-2^(j-1)) XOR A_l(k-2^j)
-    for every power 2^j fitting inside (l, k).
-    """
-    m = 2**n
-    names = wire_names(n)
-    checks: list[IdentityCheck] = []
-
-    def add(name: str, lhs: Anf, rhs: Anf):
-        checks.append(
-            IdentityCheck(name, lhs == rhs, lhs.to_text(names), rhs.to_text(names))
-        )
-
-    def v(role: str, l: int) -> Anf:
-        return variable(n, QubitRef(role, l))
-
-    add(f"A_{m}({m}) closed form", block_A(n, m, m), control_product(n) ^ v("A", m))
-    for l in range(1, m):
-        add(f"A_{l}({m}) restored", block_A(n, l, m), v("A", l))
-    for l in range(1, m):
-        add(f"Z_{l}({m}) final form", block_Z(n, l, m), (v("B", l) & v("D", l)) ^ v("A", l))
-    add(
-        f"Z_{m}({m}) final form",
-        block_Z(n, m, m),
-        control_product(n) ^ (v("B", m) & v("D", m)) ^ v("A", m),
-    )
-    for l in range(1, m + 1):
-        add(
-            f"B_{l} D_{l}({m}) relation",
-            block_A(n, l, m) ^ block_Z(n, l, m),
-            v("B", l) & v("D", l),
-        )
-
-    j = 1
-    while 2**j <= m:
-        step = 2**j
-        for l in range(step, m + 1):
-            bc = Anf.one()
-            for p in range(step):
-                bc = bc & v("B", l - p) & v("C", l - p)
-            for k in range(step, m + 1):
-                add(
-                    f"doubling j={j} l={l} k={k}",
-                    block_A(n, l, k),
-                    (bc & block_A(n, l - step, k - step // 2)) ^ block_A(n, l, k - step),
-                )
-        j += 1
-
-    return AppendixReport(n, tuple(checks))

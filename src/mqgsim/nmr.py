@@ -326,6 +326,9 @@ def verify_identity(
         raise LatticeError(f"evolution time t must be finite and >= 0, got {t}")
     if not 0.0 <= tol < math.inf:
         raise LatticeError(f"tolerance must be finite and >= 0, got {tol}")
+    # Residuals compute (u t) coeff with |u| <= 4, so this bounds every term.
+    if not math.isfinite(4 * t * max(abs(c) for c in cfg.couplings)):
+        raise LatticeError(f"4 t |coupling| overflows at t={t}, couplings {cfg.couplings}")
 
     seq = canonical_sequence(kind, t) if sequence is None else sequence
     eff = effective_evolution(seq, cfg)

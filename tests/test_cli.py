@@ -331,9 +331,52 @@ def test_nmr_verify_overflow_fails_without_warnings():
         "--couplings", "1e308", "1", "1", "1", "1", "1",
         check=False,
     )
-    assert done.returncode == 1
-    assert json.loads(done.stdout)["report"]["pass"] is False
-    assert done.stderr == ""  # no numpy RuntimeWarning lines
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: 4 t |coupling| overflows")
+    assert done.stderr.count("\n") == 1  # the error line, no warnings
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--couplings", "1e308", "1", "1", "1", "1", "1", "--kind", "1", "--t", "4"],
+        ["--t", "1e308", "--kind", "all"],
+        ["--couplings", *["1e-300"] * 6, "--t", "1e308"],
+    ],
+)
+def test_nmr_verify_overflow_is_a_usage_error(capsys, argv):
+    code, stdout, err = run_cli(capsys, "nmr-verify", "--rows", "2", *argv)
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: 4 t |coupling| overflows")
+
+
+def test_nmr_verify_never_prints_nan(capsys, monkeypatch):
+    # A NaN residual fails the check, but it cannot reach stdout as JSON.
+    monkeypatch.setattr(nmr, "pair_sign_total", lambda i, j, masks: None)
+    code, stdout, err = run_cli(capsys, "nmr-verify", "--kind", "1")
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: Out of range float values are not JSON compliant")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--n", "2"],
+        ["verify", "--n", "3"],
+        ["verify", "--circuit", "drop.mqgc"],
+        ["compare", "--n", "3", "--all-up-to"],
+        ["trace", "--n", "1", "--input", "111110000", "--format", "json"],
+        ["nmr-verify", "--kind", "all", "--rows", "3"],
+    ],
+)
+def test_stdout_is_strict_json(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    main(["synth", "--n", "1", "--out", "n1.mqgc"])
+    Path("drop.mqgc").write_text("".join(Path("n1.mqgc").read_text().splitlines(True)[:-3]))
+    code, stdout, _ = run_cli(capsys, *argv)
+    assert code in (0, 1)
+    strict = json.loads(stdout, parse_constant=lambda c: pytest.fail(f"{c} is not JSON"))
+    assert strict["command"] == argv[0]
 
 
 def test_nmr_verify_bad_flags(capsys):

@@ -4,17 +4,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mqgsim.circuit import QubitRef, mqg_roles
-from mqgsim.gf2 import (
-    Anf,
-    block_A,
-    block_Z,
-    compose,
-    control_product,
-    variable,
-    verify_appendix,
-    wire_names,
+from mqgsim.gf2 import Anf, compose
+from network_reference import (
+    appendix_identities,
+    closed_form_outputs,
+    evaluate,
+    naive_A,
+    naive_Z,
+    stage_values,
+    var,
+    wire,
 )
-from network_reference import closed_form_outputs, evaluate
 
 x1, x2, x3 = Anf.var(1), Anf.var(2), Anf.var(3)
 
@@ -124,9 +124,12 @@ def test_compose_cancels():
     assert compose({0: x1 & x3}, {1: x1 ^ x3}) == {0: (x1 & x3) ^ x3}
 
 
+CONTROLS_N1 = Anf([[wire("A", 0), wire("B", 1), wire("C", 1), wire("B", 2), wire("C", 2)]])
+
+
 def test_text_form():
-    names = wire_names(1)
-    poly = control_product(1) ^ variable(1, QubitRef("A", 2))
+    names = [ref.label for ref in mqg_roles(1)]
+    poly = CONTROLS_N1 ^ var("A", 2)
     assert poly.to_text(names) == "A0 B1 C1 B2 C2 + A2"
     assert Anf.zero().to_text(names) == "0"
     assert Anf.one().to_text(names) == "1"
@@ -134,9 +137,9 @@ def test_text_form():
 
 def test_closed_form_n1():
     out = closed_form_outputs(1)  # flat order A0 B1 C1 D1 A1 B2 C2 D2 A2
-    assert out[8] == control_product(1) ^ variable(1, QubitRef("A", 2))
-    assert out[3] == variable(1, QubitRef("D", 1))
-    assert out[5] == variable(1, QubitRef("B", 2))
+    assert out[8] == CONTROLS_N1 ^ var("A", 2)
+    assert out[3] == var("D", 1)
+    assert out[5] == var("B", 2)
 
 
 def test_closed_form_n2_target_degree():
@@ -176,91 +179,36 @@ def test_closed_form_matches_brute_force(n):
 
 
 def test_block_base_cases():
-    assert block_A(1, 0, 2) == variable(1, QubitRef("A", 0))
-    assert block_Z(1, 0, 0) == variable(1, QubitRef("A", 0))
-    assert block_A(1, 2, 0) == variable(1, QubitRef("A", 2))
+    A, Z = stage_values(1)
+    assert A(0, 2) == var("A", 0)
+    assert Z(0, 0) == var("A", 0)
+    assert A(2, 0) == var("A", 2)
 
 
 def test_block_worked_values_n1():
-    def v(role, l):
-        return variable(1, QubitRef(role, l))
-
-    assert block_A(1, 1, 2) == v("A", 1)
-    assert block_Z(1, 1, 2) == (v("B", 1) & v("D", 1)) ^ v("A", 1)
-    assert block_Z(1, 2, 2) == control_product(1) ^ (v("B", 2) & v("D", 2)) ^ v("A", 2)
-    assert block_A(1, 2, 2) == control_product(1) ^ v("A", 2)
-    assert block_Z(1, 1, 1) == (
-        v("B", 1) & ((v("A", 0) & v("C", 1)) ^ v("D", 1))
-    ) ^ v("A", 1)
-
-
-@pytest.mark.parametrize(
-    "l,k",
-    [(-1, 1), (3, 1), (1, -1), (1, 3)],
-)
-def test_block_index_range_errors(l, k):
-    with pytest.raises(ValueError):
-        block_A(1, l, k)
-
-
-def test_block_Z_stage_zero_undefined():
-    with pytest.raises(ValueError):
-        block_Z(1, 1, 0)
-
-
-def _naive_A(n, l, k):
-    # Unmemoized re-derivation, kept independent of the cached path.
-    if l == 0:
-        return variable(n, QubitRef("A", 0))
-    if k == 0:
-        return variable(n, QubitRef("A", l))
-    bc = variable(n, QubitRef("B", l)) & variable(n, QubitRef("C", l))
-    return (bc & _naive_Z(n, l - 1, k)) ^ _naive_A(n, l, k - 1)
-
-
-def _naive_Z(n, l, k):
-    if l == 0:
-        return variable(n, QubitRef("A", 0))
-    b = variable(n, QubitRef("B", l))
-    if k == 1:
-        return (
-            b
-            & ((variable(n, QubitRef("A", l - 1)) & variable(n, QubitRef("C", l)))
-               ^ variable(n, QubitRef("D", l)))
-        ) ^ variable(n, QubitRef("A", l))
-    bc = b & variable(n, QubitRef("C", l))
-    return (bc & _naive_A(n, l - 1, k - 1)) ^ _naive_Z(n, l, k - 1)
+    A, Z = stage_values(1)
+    assert A(1, 2) == var("A", 1)
+    assert Z(1, 2) == (var("B", 1) & var("D", 1)) ^ var("A", 1)
+    assert Z(2, 2) == CONTROLS_N1 ^ (var("B", 2) & var("D", 2)) ^ var("A", 2)
+    assert A(2, 2) == CONTROLS_N1 ^ var("A", 2)
+    assert Z(1, 1) == (var("B", 1) & ((var("A", 0) & var("C", 1)) ^ var("D", 1))) ^ var("A", 1)
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_memoized_matches_naive(n):
+    # block_stages' one pass against the plain recursion, stage 0 and row 0 included.
+    A, Z = stage_values(n)
     m = 2**n
     for l, k in itertools.product(range(m + 1), range(m + 1)):
-        assert block_A(n, l, k) == _naive_A(n, l, k)
+        assert A(l, k) == naive_A(l, k)
         if l == 0 or k >= 1:
-            assert block_Z(n, l, k) == _naive_Z(n, l, k)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_pair_step_identity(n):
-    # A_l(k) folds two rows and one stage at a time.
-    m = 2**n
-    for l in range(2, m + 1):
-        bc = Anf.one()
-        for p in (0, 1):
-            bc = bc & variable(n, QubitRef("B", l - p)) & variable(n, QubitRef("C", l - p))
-        for k in range(2, m + 1):
-            assert block_A(n, l, k) == (bc & block_A(n, l - 2, k - 1)) ^ block_A(n, l, k - 2)
+            assert Z(l, k) == naive_Z(l, k)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_verify_appendix(n):
-    report = verify_appendix(n)
-    assert report.ok, [c.name for c in report.failures()]
-
-
-def test_appendix_report_lists_checks():
-    report = verify_appendix(2)
-    names = [c.name for c in report.checks]
-    assert "A_4(4) closed form" in names
-    assert any(name.startswith("doubling j=2") for name in names)
+    checks = list(appendix_identities(n))
+    assert [name for name, lhs, rhs in checks if lhs != rhs] == []
+    names = {name for name, _, _ in checks}
+    m = 2**n
+    assert {f"A_{m}({m}) closed form", f"doubling j={n} l={m} k={m}"} <= names

@@ -1,7 +1,6 @@
 import json
 import math
 import random
-import warnings
 
 import numpy as np
 import pytest
@@ -281,12 +280,9 @@ def test_wrong_sign_algebra_gives_deviation_counterexample(monkeypatch):
 
 
 def test_verify_identity_overflow_fails():
-    # Finite couplings whose energies overflow give NaN phases; they must
-    # fail, without a numpy RuntimeWarning.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        rep = verify_identity(1, LatticeConfig(2, (1e308,) * 6), t=0.7)
-    assert not rep.passed and rep.counterexample is not None
+    # Finite couplings whose 4 t |coeff| overflows are refused before the run.
+    with pytest.raises(LatticeError, match="overflows"):
+        verify_identity(1, LatticeConfig(2, (1e308,) * 6), t=0.7)
 
 
 @pytest.mark.parametrize("kind", range(1, 7))
@@ -480,12 +476,16 @@ def test_local_action_not_a_zz_phase_fails(monkeypatch):
     assert math.isnan(rep.counterexample["deviation"])
 
 
-def test_overflow_on_a_later_term_is_nan():
-    # Only the b terms overflow (inf - inf); the a terms before them are 0.
-    rep = verify_identity(2, LatticeConfig(2, (1.0, 1e308, 1.0, 1.0, 1.0, 1.0)), t=0.7)
-    assert not rep.passed
-    assert math.isnan(rep.max_deviation)
-    assert rep.counterexample["pair"] == "C1-D1"
+def test_overflow_on_a_later_term_is_refused():
+    # Only the b terms would overflow; the a terms before them are finite.
+    with pytest.raises(LatticeError):
+        verify_identity(2, LatticeConfig(2, (1.0, 1e308, 1.0, 1.0, 1.0, 1.0)), t=0.7)
+    # t coeff is finite here, but the residual's u t is not.
+    with pytest.raises(LatticeError):
+        verify_identity(2, LatticeConfig(2, (1e-300,) * 6), t=1e308)
+    # Just inside the bound, every residual is still exact.
+    rep = verify_identity(2, LatticeConfig(2, (1e307,) * 6), t=1.0)
+    assert rep.passed and rep.max_deviation == 0.0
 
 
 def test_seeded_couplings():
