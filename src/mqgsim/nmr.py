@@ -1,13 +1,17 @@
 """ZZ spin-lattice model and the six refocusing pulse sequences.
 
 The lattice has 4 spins per row (roles A, B, C, D) with six coupling
-classes a..f. All Hamiltonian terms are diagonal ZZ products, so free
-evolution segments commute exactly; a refocusing sequence interleaves four
-evolution segments with simultaneous pi-pulses on whole frequency classes,
-cancelling every coupling except one, which survives at 4t. The sign
-algebra and the term-by-term check of the sequence's action are both
-exact integer bookkeeping, so the check tolerance is pure floating-point
-slack, and neither needs the 2^N basis states.
+classes a..f. Spin ``role`` of row l (1-based) is the integer
+4(l - 1) + "ABCD".index(role), and a set of spins is an int bit mask;
+labels such as C1 appear only in the report's ``pair`` strings. All
+Hamiltonian terms are diagonal ZZ products, so free evolution segments
+commute exactly; a refocusing sequence interleaves four evolution segments
+with simultaneous pi-pulses on whole frequency classes (a pulse is the
+frozenset of class names it flips), cancelling every coupling except one,
+which survives at 4t. The sign algebra and the term-by-term check of the
+sequence's action are both exact integer bookkeeping, so the check
+tolerance is pure floating-point slack, and neither needs the 2^N basis
+states.
 """
 from __future__ import annotations
 
@@ -35,19 +39,9 @@ class LatticeError(ValueError):
     """Invalid lattice or sequence parameters."""
 
 
-class SpinRef(NamedTuple):
-    role: str  # A, B, C or D
-    row: int
-
-    def __repr__(self) -> str:
-        return f"{self.role}{self.row}"
-
-
-_ROLE_OFFSET = {"A": 0, "B": 1, "C": 2, "D": 3}
-
-
-def spin_index(ref: SpinRef) -> int:
-    return 4 * (ref.row - 1) + _ROLE_OFFSET[ref.role]
+def pair_label(i: int, j: int) -> str:
+    """Report label of the spin pair i, j: role letter and 1-based row, as in A1-C1."""
+    return "-".join(f"{'ABCD'[s % 4]}{s // 4 + 1}" for s in (i, j))
 
 
 class LatticeConfig(namedtuple("LatticeConfig", "rows couplings boundary")):
@@ -83,16 +77,14 @@ class LatticeConfig(namedtuple("LatticeConfig", "rows couplings boundary")):
     def num_spins(self) -> int:
         return 4 * self.rows
 
-    def class_spins(self, cls: str) -> tuple[SpinRef, ...]:
+    def class_mask(self, cls: str) -> int:
+        """Bit mask of the spins in pulse class cls; A and D split by row parity."""
         if cls not in PULSE_CLASSES:
             raise LatticeError(f"unknown pulse class {cls!r}")
-        role = cls[0]
-        if role in ("A", "D"):
-            wanted = 1 if cls.endswith("odd") else 0
-            rows = [l for l in range(1, self.rows + 1) if l % 2 == wanted]
-        else:
-            rows = list(range(1, self.rows + 1))
-        return tuple(SpinRef(role, l) for l in rows)
+        role = "ABCD".index(cls[0])
+        step = 1 if cls in ("B", "C") else 2
+        first = 1 if cls.endswith("even") else 0  # 0-based row; row 1 is odd
+        return sum(1 << (4 * r + role) for r in range(first, self.rows, step))
 
 
 def seeded_couplings(seed: int) -> tuple[float, ...]:
@@ -104,8 +96,8 @@ def seeded_couplings(seed: int) -> tuple[float, ...]:
 
 
 class ZZTerm(NamedTuple):
-    i: SpinRef
-    j: SpinRef
+    i: int
+    j: int
     coeff: float
     coupling: str  # which of a..f this term carries
     row: int
@@ -122,15 +114,15 @@ def build_hamiltonian(cfg: LatticeConfig) -> tuple[ZZTerm, ...]:
     a, b, c, d, e, f = cfg.couplings
     terms: list[ZZTerm] = []
     for l in range(1, cfg.rows + 1):
-        A, B, C, D = (SpinRef(r, l) for r in "ABCD")
+        A, B, C, D = range(4 * l - 4, 4 * l)
         terms.append(ZZTerm(A, C, a, "a", l))
         terms.append(ZZTerm(C, D, b, "b", l))
         terms.append(ZZTerm(D, A, c, "c", l))
         terms.append(ZZTerm(D, B, d, "d", l))
         if l < cfg.rows:
-            nxt = SpinRef("A", l + 1)
+            nxt = 4 * l
         elif cfg.boundary == "periodic":
-            nxt = SpinRef("A", 1)
+            nxt = 0
         else:
             continue
         terms.append(ZZTerm(B, nxt, e, "e", l))
@@ -138,34 +130,11 @@ def build_hamiltonian(cfg: LatticeConfig) -> tuple[ZZTerm, ...]:
     return tuple(terms)
 
 
-class PulseGroup(namedtuple("PulseGroup", "classes")):
-    """Simultaneous pi-pulse about x on every spin of the listed classes."""
-
-    __slots__ = ()
-
-    def __new__(cls, classes: frozenset[str]):
-        bad = classes - set(PULSE_CLASSES)
-        if bad:
-            raise LatticeError(f"unknown pulse classes {sorted(bad)}")
-        return super().__new__(cls, classes)
-
-    @classmethod
-    def _make(cls, fields) -> "PulseGroup":
-        return cls(*fields)  # so _replace validates too
-
-    def spins(self, cfg: LatticeConfig) -> frozenset[SpinRef]:
-        out: set[SpinRef] = set()
-        for cls in self.classes:
-            out |= set(cfg.class_spins(cls))
-        return frozenset(out)
-
-
 class RefocusSequence(NamedTuple):
     """U = E P1 E P2 E P3 E P4 with E = free evolution for time t."""
 
     t: float
-    groups: tuple[PulseGroup, PulseGroup, PulseGroup, PulseGroup]
-    kind: int | None = None
+    groups: tuple[frozenset[str], ...]
 
 
 _KIND_GROUPS = {
@@ -186,19 +155,16 @@ def canonical_sequence(kind: int, t: float) -> RefocusSequence:
     if kind not in _KIND_GROUPS:
         raise LatticeError(f"sequence kind must be 1..6, got {kind}")
     base, extra = _KIND_GROUPS[kind]
-    p_plain = PulseGroup(base)
-    p_extra = PulseGroup(base | extra)
-    return RefocusSequence(t, (p_plain, p_extra, p_plain, p_extra), kind=kind)
+    return RefocusSequence(t, (base, base | extra) * 2)
 
 
 class EffectiveEvolution(NamedTuple):
     surviving: tuple[ZZTerm, ...]  # coeff holds the accumulated 4t * coupling
-    global_phase: complex
     sign_table: tuple[dict, ...]
-    # Nonempty iff the net pulse product is not the identity permutation
+    # Nonzero iff the net pulse product is not the identity permutation
     # (only possible for mutated sequences); the diagonal picture then needs
-    # this residual bit-flip on top.
-    net_flips: frozenset[SpinRef] = frozenset()
+    # this residual bit-flip mask on top.
+    net_flips: int
 
 
 def effective_evolution(seq: RefocusSequence, cfg: LatticeConfig) -> EffectiveEvolution:
@@ -206,43 +172,37 @@ def effective_evolution(seq: RefocusSequence, cfg: LatticeConfig) -> EffectiveEv
 
     Segment s evolves under the Hamiltonian conjugated by the product of
     the pulses P1..P_{s-1} before it in U = E P1 E P2 E P3 E P4, i.e. Z_i
-    picks up a sign when spin i is flipped an odd number of times there.
+    picks up a sign when bit i of the prefix XOR of their masks is set.
     """
-    flips = [frozenset()]
-    pulsed = 0
-    for group in seq.groups:
-        spins = group.spins(cfg)
-        flips.append(flips[-1] ^ spins)
-        pulsed += len(spins)
+    flips = [0]
+    for classes in seq.groups:
+        flips.append(flips[-1] ^ pulse_operator(classes, cfg)[0])
     net = flips.pop()
     surviving = []
     table = []
     for term in build_hamiltonian(cfg):
-        signs = [-1 if (term.i in fl) != (term.j in fl) else 1 for fl in flips]
+        signs = [1 - 2 * (((f >> term.i) ^ (f >> term.j)) & 1) for f in flips]
         total = sum(signs)
         table.append(
             {
                 "coupling": term.coupling,
                 "row": term.row,
-                "pair": f"{term.i}-{term.j}",
+                "pair": pair_label(term.i, term.j),
                 "signs": signs,
                 "survives": total != 0,
             }
         )
         if total:
-            surviving.append(
-                ZZTerm(term.i, term.j, total * seq.t * term.coeff, term.coupling, term.row)
-            )
-    return EffectiveEvolution(tuple(surviving), complex((-1j) ** pulsed), tuple(table), net)
+            surviving.append(term._replace(coeff=total * seq.t * term.coeff))
+    return EffectiveEvolution(tuple(surviving), tuple(table), net)
 
 
-def pulse_operator(group: PulseGroup, cfg: LatticeConfig) -> tuple[int, complex]:
-    """(xor mask, phase) of the simultaneous pi-pulse: -i X per spin."""
-    spins = group.spins(cfg)
+def pulse_operator(classes: frozenset[str], cfg: LatticeConfig) -> tuple[int, complex]:
+    """(xor mask, phase) of the simultaneous pi-pulse on classes: -i X per spin."""
     mask = 0
-    for s in spins:
-        mask |= 1 << spin_index(s)
-    return mask, complex((-1j) ** len(spins))
+    for cls in classes:
+        mask |= cfg.class_mask(cls)
+    return mask, complex((-1j) ** mask.bit_count())
 
 
 def pair_sign_total(i: int, j: int, masks) -> int | None:
@@ -298,7 +258,7 @@ def verify_identity(
     cfg: LatticeConfig,
     t: float,
     tol: float = 1e-10,
-    sequence: RefocusSequence | None = None,
+    groups: tuple[frozenset[str], ...] | None = None,
 ) -> VerifyReport:
     """Check the sequence's exact action term by term against the sign algebra.
 
@@ -320,7 +280,8 @@ def verify_identity(
     whether the surviving set is exactly the one coupling class at 4t that
     the kind is meant to isolate (true on every even-row or open lattice;
     an odd periodic ring has a parity seam that defeats kinds 3 and 6).
-    ``sequence`` overrides the canonical pulses for mutation tests.
+    ``groups`` overrides the canonical pulses (for mutation tests); the
+    evolution time is always ``t``.
     """
     if not 0.0 <= t < math.inf:
         raise LatticeError(f"evolution time t must be finite and >= 0, got {t}")
@@ -330,7 +291,9 @@ def verify_identity(
     if not math.isfinite(4 * t * max(abs(c) for c in cfg.couplings)):
         raise LatticeError(f"4 t |coupling| overflows at t={t}, couplings {cfg.couplings}")
 
-    seq = canonical_sequence(kind, t) if sequence is None else sequence
+    seq = canonical_sequence(kind, t)
+    if groups is not None:
+        seq = seq._replace(groups=tuple(groups))
     eff = effective_evolution(seq, cfg)
     published = {
         (t2.i, t2.j): 4.0 * t * t2.coeff for t2 in target_terms(kind, cfg)
@@ -344,19 +307,19 @@ def verify_identity(
 
     # U = E P1 E P2 E P3 E P4 acts right to left: P4 flips first.
     masks, pulse_phase, net = [], complex(1.0), 0
-    for group in reversed(seq.groups):
-        mask, phase = pulse_operator(group, cfg)
+    for classes in reversed(seq.groups):
+        mask, phase = pulse_operator(classes, cfg)
         masks.append(mask)
         pulse_phase *= phase
         net ^= mask
     residuals = []  # (pair, r) in Hamiltonian order
     for term in build_hamiltonian(cfg):
-        u = pair_sign_total(spin_index(term.i), spin_index(term.j), masks)
+        u = pair_sign_total(term.i, term.j, masks)
         c = surviving.pop((term.i, term.j), 0.0)
-        r = math.nan if u is None else u * seq.t * term.coeff - c
-        residuals.append((f"{term.i}-{term.j}", r))
+        r = math.nan if u is None else u * t * term.coeff - c
+        residuals.append((pair_label(term.i, term.j), r))
     # A surviving term on no Hamiltonian pair is residual in full.
-    residuals += [(f"{i}-{j}", -c) for (i, j), c in surviving.items()]
+    residuals += [(pair_label(i, j), -c) for (i, j), c in surviving.items()]
 
     deviations = [abs(r) for _, r in residuals]
     total = sum(r for _, r in residuals)

@@ -17,7 +17,6 @@ from mqgsim.nmr import (
     build_hamiltonian,
     effective_evolution,
     pulse_operator,
-    spin_index,
 )
 
 # Largest lattice the dense numerics will take: about 56 bytes per basis
@@ -46,7 +45,7 @@ def _energy(terms, num_spins: int) -> np.ndarray:
         low = np.arange(energy.size)
         field = np.zeros(energy.size)
         for term in terms:
-            i, j = sorted((spin_index(term.i), spin_index(term.j)))
+            i, j = sorted((term.i, term.j))
             if j == k:
                 field += term.coeff * (1.0 - 2.0 * ((low >> i) & 1))
         energy = np.concatenate((energy + field, energy - field))
@@ -67,8 +66,8 @@ def sequence_action(seq: RefocusSequence, cfg: LatticeConfig) -> tuple[np.ndarra
     image = np.arange(energy.size)
     angle = np.zeros(energy.size)
     pulse_phase = complex(1.0)
-    for group in reversed(seq.groups):
-        mask, phase = pulse_operator(group, cfg)
+    for classes in reversed(seq.groups):
+        mask, phase = pulse_operator(classes, cfg)
         image ^= mask
         angle += energy[image]
         pulse_phase *= phase

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import os
 import subprocess
@@ -255,6 +256,30 @@ def test_nmr_verify_rows_3(capsys):
     )
     assert code == 0
     assert json.loads(stdout)["report"]["pass"] is True
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        ("--kind all --rows 2 --seed 7",
+         "dbb1d7dc9d3efdf967703d5c4f1c07ad2ff17562a23ed6428ba5817394868dd5"),
+        # The odd ring: kinds 3 and 6 report matches_published false.
+        ("--kind all --rows 3 --seed 7",
+         "35deb0e0fd66663e9bb6f10ca781a096b116df9e36d8468592a7587172fa8b4e"),
+        ("--kind all --rows 3 --boundary open --seed 7",
+         "38d3cdd186212cf11fb0dc0b9ac29679a651a09ea5edffa734f405cdcaa5a37a"),
+        ("--kind 4 --rows 2 --couplings 1 0 -1 2 3 4 --t 0",
+         "10ee0ee47ec237d49bb5150e557fe1daaefeb7e8091731fbb1cd1c80f62ad939"),
+        ("--kind all --rows 4 --t 1e5",
+         "4c057c9e571f1b252eec3d72e8fa7d7a2de1bf5c8cde9f23fc3411f896081e5d"),
+    ],
+)
+def test_nmr_verify_report_bytes_are_pinned(capsys, argv, digest):
+    # sha256 of the whole stdout, recorded before the spins of mqgsim.nmr
+    # became integer indices; any change to the report's bytes shows here.
+    code, stdout, err = run_cli(capsys, "nmr-verify", *argv.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(stdout.encode()).hexdigest() == digest
 
 
 def test_nmr_verify_byte_identical_given_seed(capsys):

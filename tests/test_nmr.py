@@ -11,21 +11,23 @@ from mqgsim.nmr import (
     KIND_TARGET,
     LatticeConfig,
     LatticeError,
-    PulseGroup,
-    RefocusSequence,
-    SpinRef,
     ZZTerm,
     build_hamiltonian,
     canonical_sequence,
     effective_evolution,
+    pair_label,
     pair_sign_total,
     pulse_operator,
     seeded_couplings,
-    spin_index,
     target_terms,
     verify_identity,
 )
 from nmr_reference import _energy, dense_verdict, sequence_action
+
+
+def spin(role, row):
+    """Spin index of role A..D in 1-based row, as the module docstring defines it."""
+    return 4 * (row - 1) + "ABCD".index(role)
 
 
 def cfg_random(rows=2, boundary="periodic", seed=0):
@@ -42,8 +44,8 @@ def random_state(dim, seed):
 def drop_pulse(seq, group, cls):
     """seq with pulse class cls removed from one of its four groups."""
     groups = list(seq.groups)
-    groups[group] = PulseGroup(groups[group].classes - {cls})
-    return RefocusSequence(seq.t, tuple(groups), kind=seq.kind)
+    groups[group] -= {cls}
+    return seq._replace(groups=tuple(groups))
 
 
 def dense_unitary(seq, cfg):
@@ -62,15 +64,14 @@ def dense_unitary(seq, cfg):
         return diag
 
     def pulse(group):
-        flipped = {spin_index(s) for s in group.spins(cfg)}
+        mask, _ = pulse_operator(group, cfg)
+        flipped = {k for k in range(n) if mask >> k & 1}
         op = np.eye(1)
         for k in reversed(range(n)):
             op = np.kron(op, x if k in flipped else np.eye(2))
         return (-1j) ** len(flipped) * op
 
-    energy = sum(
-        t.coeff * zz(spin_index(t.i), spin_index(t.j)) for t in build_hamiltonian(cfg)
-    )
+    energy = sum(t.coeff * zz(t.i, t.j) for t in build_hamiltonian(cfg))
     evo = np.diag(np.exp(-1j * seq.t * energy))
     u = np.eye(1 << n)
     for group in seq.groups:
@@ -117,32 +118,47 @@ def test_lattice_validation():
 
 def test_spin_classes():
     cfg = cfg_random(3)
-    assert SpinRef("A", 2) in cfg.class_spins("A_even")
-    assert SpinRef("D", 2) in cfg.class_spins("D_even")
-    assert SpinRef("D", 2) not in cfg.class_spins("D_odd")
-    assert cfg.class_spins("A_odd") == (SpinRef("A", 1), SpinRef("A", 3))
-    assert cfg.class_spins("B") == tuple(SpinRef("B", l) for l in (1, 2, 3))
+    assert cfg.class_mask("A_even") == 1 << spin("A", 2)
+    assert cfg.class_mask("D_even") == 1 << spin("D", 2)
+    assert cfg.class_mask("D_odd") == (1 << spin("D", 1)) | (1 << spin("D", 3))
+    assert cfg.class_mask("A_odd") == (1 << spin("A", 1)) | (1 << spin("A", 3))
+    assert cfg.class_mask("B") == sum(1 << spin("B", l) for l in (1, 2, 3))
+    assert cfg.class_mask("C") == sum(1 << spin("C", l) for l in (1, 2, 3))
+
+
+def test_unknown_pulse_class_is_refused():
+    cfg = cfg_random(2)
+    with pytest.raises(LatticeError, match="unknown pulse class 'E'"):
+        cfg.class_mask("E")
+    with pytest.raises(LatticeError, match="unknown pulse class 'E'"):
+        pulse_operator(frozenset({"E"}), cfg)
+    groups = canonical_sequence(1, 0.7).groups[:3] + (frozenset({"B", "E"}),)
+    with pytest.raises(LatticeError, match="unknown pulse class 'E'"):
+        verify_identity(1, cfg, t=0.7, groups=groups)
+
+
+def test_pair_labels():
+    assert pair_label(spin("A", 1), spin("C", 1)) == "A1-C1"
+    assert pair_label(spin("D", 12), spin("B", 3)) == "D12-B3"
 
 
 def test_pulse_operator_b_class():
     cfg = cfg_random(2)
-    mask, phase = pulse_operator(PulseGroup(frozenset({"B"})), cfg)
-    expected = (1 << spin_index(SpinRef("B", 1))) | (1 << spin_index(SpinRef("B", 2)))
-    assert mask == expected
+    mask, phase = pulse_operator(frozenset({"B"}), cfg)
+    assert mask == (1 << spin("B", 1)) | (1 << spin("B", 2))
     assert phase == (-1j) ** 2
 
 
 def test_pulse_operator_a_odd_single_spin():
     cfg = cfg_random(2)
-    mask, phase = pulse_operator(PulseGroup(frozenset({"A_odd"})), cfg)
-    assert mask == 1 << spin_index(SpinRef("A", 1))
+    mask, phase = pulse_operator(frozenset({"A_odd"}), cfg)
+    assert mask == 1 << spin("A", 1)
     assert phase == -1j
 
 
 def test_pulse_twice_is_pure_phase():
     cfg = cfg_random(2)
-    group = PulseGroup(frozenset({"B", "C"}))
-    mask, phase = pulse_operator(group, cfg)
+    mask, phase = pulse_operator(frozenset({"B", "C"}), cfg)
     state = random_state(1 << cfg.num_spins, 11)
     idx = np.arange(1 << cfg.num_spins)
     once = phase * state[idx ^ mask]
@@ -153,9 +169,9 @@ def test_pulse_twice_is_pure_phase():
 def test_canonical_sequence_groups():
     seq = canonical_sequence(1, 0.5)
     base = frozenset({"D_odd", "D_even"})
-    assert [g.classes for g in seq.groups] == [base, base | {"B"}, base, base | {"B"}]
+    assert seq == (0.5, (base, base | {"B"}, base, base | {"B"}))
     seq3 = canonical_sequence(3, 0.5)
-    assert seq3.groups[1].classes == frozenset({"B", "C", "A_even", "D_even"})
+    assert seq3.groups[1] == frozenset({"B", "C", "A_even", "D_even"})
 
 
 def test_canonical_sequence_invalid_kind():
@@ -167,7 +183,7 @@ def test_canonical_sequence_invalid_kind():
 def test_net_pulse_flips_are_even(kind):
     cfg = cfg_random(3, "open")
     eff = effective_evolution(canonical_sequence(kind, 0.3), cfg)
-    assert eff.net_flips == frozenset()
+    assert eff.net_flips == 0
 
 
 def test_effective_evolution_kind1_sign_table():
@@ -253,7 +269,7 @@ def test_sequence_action_matches_dense_unitary(kind, drop):
 def test_moved_counterexample_is_moved_by_dense_unitary():
     cfg = cfg_random(2, seed=40)
     seq = drop_pulse(canonical_sequence(1, 0.7), 1, "B")
-    rep = verify_identity(1, cfg, t=0.7, sequence=seq)
+    rep = verify_identity(1, cfg, t=0.7, groups=seq.groups)
     assert not rep.passed and rep.max_deviation is None
     s, image = state_of(rep.counterexample["state"]), state_of(rep.counterexample["image"])
     u = dense_unitary(seq, cfg)
@@ -301,8 +317,8 @@ def test_verify_identity_global_phase_is_fourth_root():
     rep = verify_identity(1, cfg, t=0.4)
     phase = complex(*rep.global_phase)
     assert min(abs(phase - p) for p in (1, -1, 1j, -1j)) < 1e-9
-    # and it is the (-i)^pulses the sign algebra predicts
-    assert abs(phase - effective_evolution(canonical_sequence(1, 0.4), cfg).global_phase) < 1e-9
+    # and it is (-i)^12: the four pulses flip 2 + 4 + 2 + 4 spins
+    assert abs(phase - (-1j) ** 12) < 1e-9
 
 
 def test_verify_identity_deterministic_given_seed():
@@ -313,13 +329,21 @@ def test_verify_identity_deterministic_given_seed():
     assert json.dumps(r1._asdict()) == json.dumps(r2._asdict())
 
 
+def test_verify_identity_groups_override_only_the_pulses():
+    # The groups carry no time: the run and its report are at t = 0.7.
+    cfg = cfg_random(2, seed=6)
+    for kind in range(1, 7):
+        groups = canonical_sequence(kind, 0.5).groups
+        plain = verify_identity(kind, cfg, t=0.7)
+        assert verify_identity(kind, cfg, t=0.7, groups=groups) == plain
+        assert plain.t == 0.7 and plain.passed
+
+
 def test_verify_identity_mutation_fails():
     cfg = cfg_random(2, seed=6)
-    seq = canonical_sequence(1, 0.7)
-    groups = list(seq.groups)
-    groups[1] = PulseGroup(frozenset({"D_odd", "D_even"}))  # drop B from P2
-    mutated = RefocusSequence(0.7, tuple(groups), kind=1)
-    rep = verify_identity(1, cfg, t=0.7, sequence=mutated)
+    groups = list(canonical_sequence(1, 0.7).groups)
+    groups[1] = frozenset({"D_odd", "D_even"})  # drop B from P2
+    rep = verify_identity(1, cfg, t=0.7, groups=groups)
     assert not rep.passed
     assert rep.max_deviation is None
     assert set(rep.counterexample) == {"state", "image"}
@@ -348,7 +372,7 @@ def single_deletions(seq):
     return [
         drop_pulse(seq, gi, cls)
         for gi, group in enumerate(seq.groups)
-        for cls in sorted(group.classes)
+        for cls in sorted(group)
     ]
 
 
@@ -358,7 +382,7 @@ def paired_deletions(seq):
     return [
         drop_pulse(drop_pulse(seq, first, cls), first + 2, cls)
         for first in (0, 1)
-        for cls in sorted(seq.groups[first].classes)
+        for cls in sorted(seq.groups[first])
     ]
 
 
@@ -372,7 +396,7 @@ def test_local_check_agrees_with_dense_action():
             for kind in range(1, 7):
                 seq = canonical_sequence(kind, 0.7)
                 for s in [seq] + single_deletions(seq):
-                    rep = verify_identity(kind, cfg, t=0.7, sequence=s)
+                    rep = verify_identity(kind, cfg, t=0.7, groups=s.groups)
                     passed, cex = dense_verdict(s, cfg)
                     assert rep.passed == passed
                     moved = cex is not None and "image" in cex
@@ -390,7 +414,7 @@ def test_local_check_agrees_on_net_zero_deletions():
         cfg = cfg_random(rows, boundary, seed=9)
         for kind in range(1, 7):
             for s in paired_deletions(canonical_sequence(kind, 0.7)):
-                rep = verify_identity(kind, cfg, t=0.7, sequence=s)
+                rep = verify_identity(kind, cfg, t=0.7, groups=s.groups)
                 assert rep.passed and rep.max_deviation == 0.0
                 assert dense_verdict(s, cfg) == (True, None)
 
@@ -407,7 +431,7 @@ def test_pair_sign_total_matches_sign_algebra(kind):
         masks = [pulse_operator(g, cfg)[0] for g in reversed(s.groups)]
         table = effective_evolution(s, cfg).sign_table
         for term, row in zip(build_hamiltonian(cfg), table):
-            u = pair_sign_total(spin_index(term.i), spin_index(term.j), masks)
+            u = pair_sign_total(term.i, term.j, masks)
             assert u == sum(row["signs"])
 
 
@@ -426,7 +450,7 @@ def test_local_check_rejects_residuals_that_cancel_mod_2pi(monkeypatch):
     # residual must be 0, so the local check fails.
     real = effective_evolution
     cfg = cfg_random(2, seed=4)
-    a1, c1, d1 = SpinRef("A", 1), SpinRef("C", 1), SpinRef("D", 1)
+    a1, c1, d1 = spin("A", 1), spin("C", 1), spin("D", 1)
 
     def skewed(seq, cfg):
         eff = real(seq, cfg)
@@ -442,9 +466,9 @@ def test_local_check_rejects_residuals_that_cancel_mod_2pi(monkeypatch):
     rep = verify_identity(1, cfg, t=0.7)
     assert not rep.passed
     assert rep.counterexample == {"pair": "A1-C1", "deviation": pytest.approx(math.pi / 2)}
-    # The global phase takes up exp(-i sum r) = exp(-3i pi/2) = i.
-    pulses = real(seq, cfg).global_phase
-    assert abs(complex(*rep.global_phase) - pulses * 1j) < 1e-12
+    # The global phase takes up exp(-i sum r) = exp(-3i pi/2) = i, on top
+    # of the pulses' (-i)^12 (2 + 4 + 2 + 4 spins flipped).
+    assert abs(complex(*rep.global_phase) - (-1j) ** 12 * 1j) < 1e-12
 
 
 def test_surviving_term_off_the_hamiltonian_fails(monkeypatch):
@@ -453,7 +477,7 @@ def test_surviving_term_off_the_hamiltonian_fails(monkeypatch):
 
     def extra(seq, cfg):
         eff = real(seq, cfg)
-        ghost = ZZTerm(SpinRef("A", 1), SpinRef("B", 1), 1e-3, "a", 1)
+        ghost = ZZTerm(spin("A", 1), spin("B", 1), 1e-3, "a", 1)
         return eff._replace(surviving=eff.surviving + (ghost,))
 
     monkeypatch.setattr(nmr, "effective_evolution", extra)

@@ -49,6 +49,21 @@ def row(columns, s):
     return tuple(column >> s & 1 for column in columns)
 
 
+def assert_same_columns(got, want, names=None):
+    """Bit-sliced columns (2^M-bit ints) are equal. On a mismatch, names the
+    first differing column (wire i unless ``names`` says otherwise) and its
+    lowest differing state, where pytest would print neither: it cannot
+    render an int of more than 4300 digits."""
+    __tracebackhide__ = True
+    assert len(got) == len(want), f"{len(got)} columns, expected {len(want)}"
+    for i, (g, w) in enumerate(zip(got, want)):
+        if g != w:
+            s = ((g ^ w) & -(g ^ w)).bit_length() - 1
+            name = names[i] if names else f"wire {i}"
+            got_bit, want_bit = g >> s & 1, w >> s & 1
+            pytest.fail(f"{name} differs first at state {s}: got {got_bit}, expected {want_bit}")
+
+
 def evaluate_all(polys, width):
     """Output ANFs evaluated on every basis state at once, bit-sliced."""
     wires, ones = wire_columns(width), (1 << (1 << width)) - 1
@@ -97,7 +112,7 @@ def test_run_basis_identity_when_b1_zero():
 def test_run_basis_empty_circuit():
     c = Circuit(mqg_roles(1))
     bits = (1, 0, 1, 0, 1, 0, 1, 0, 1)
-    assert output_columns(c) == wire_columns(9)
+    assert_same_columns(output_columns(c), wire_columns(9))
     assert row(output_columns(c), word(bits)) == bits
 
 
@@ -140,7 +155,7 @@ def test_run_all_refuses_large_width():
 @pytest.mark.parametrize("n", [1, 2])
 def test_network_is_involution(n):
     c = network(n)
-    assert output_columns(Circuit(c.roles, c.layers * 2)) == wire_columns(c.num_qubits)
+    assert_same_columns(output_columns(Circuit(c.roles, c.layers * 2)), wire_columns(c.num_qubits))
 
 
 def test_run_anf_single_toffoli():
@@ -254,7 +269,7 @@ def test_layer_order_within_layer_is_irrelevant():
     c = network(1)
     reversed_layers = tuple(tuple(reversed(layer)) for layer in c.layers)
     c_rev = Circuit(c.roles, reversed_layers)
-    assert output_columns(c) == output_columns(c_rev)
+    assert_same_columns(output_columns(c), output_columns(c_rev))
 
 
 def test_trace_blocks_matches_worked_example():
@@ -325,7 +340,8 @@ def test_check_stages_final_stage_is_the_output(n):
     assert [st.l for st in final] == list(range(1, 2**n + 1))
     for st in final:
         a, d = outs[idx[QubitRef("A", st.l)]], outs[idx[QubitRef("D", st.l)]]
-        assert (st.A, st.A_oracle, st.D, st.D_oracle) == (a, a, d, d)
+        names = [f"{field} at l={st.l}" for field in ("A", "A_oracle", "D", "D_oracle")]
+        assert_same_columns([st.A, st.A_oracle, st.D, st.D_oracle], [a, a, d, d], names)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -393,14 +409,14 @@ def test_mcx_oracle_matches_reference(n):
     control, target = network_masks(n)
     width = 2 ** (n + 2) + 1
     columns = mcx_oracle(control, target).columns(width)
-    assert columns == table_columns(mcx_table(control, target, width), width)
+    assert_same_columns(columns, table_columns(mcx_table(control, target, width), width))
     assert mcx_oracle(control, target).anf(width) == closed_form_outputs(n)
-    assert evaluate_all(closed_form_outputs(n), width) == columns
+    assert_same_columns(evaluate_all(closed_form_outputs(n), width), columns)
 
 
 @pytest.mark.parametrize("width", [1, 2, 3, 4, 11])
 def test_wire_columns_are_the_identity(width):
-    assert wire_columns(width) == table_columns(range(1 << width), width)
+    assert_same_columns(wire_columns(width), table_columns(range(1 << width), width))
 
 
 @pytest.mark.parametrize("n,drop", [(1, None), (2, None), (1, 5)])
@@ -410,7 +426,7 @@ def test_anf_matches_truth_table(n, drop):
     c = network(n)
     if drop is not None:
         c = Circuit(c.roles, c.layers[:drop] + c.layers[drop + 1 :])
-    assert evaluate_all(run_anf(c), c.num_qubits) == output_columns(c)
+    assert_same_columns(evaluate_all(run_anf(c), c.num_qubits), output_columns(c))
 
 
 @given(small_circuits(), st.data())
@@ -418,7 +434,7 @@ def test_anf_matches_truth_table(n, drop):
 def test_bit_sliced_backend_matches_run_word(c, data):
     M = c.num_qubits
     words = [run_word(c, s) for s in range(1 << M)]
-    assert output_columns(c) == table_columns(words, M)
+    assert_same_columns(output_columns(c), table_columns(words, M))
     gates = [g for layer in c.layers for g in layer]
     if gates and data.draw(st.booleans()):
         # The first gate alone as the oracle: passes on one-gate circuits.
