@@ -1,11 +1,13 @@
 """Reversible circuits built from layers of disjoint Toffoli gates.
 
-A circuit is a tuple of wire roles (``A0``, ``B1``, ...) plus a tuple of
-layers. Each layer is a tuple of ``(c1, c2, t)`` flat wire indices, one per
-Toffoli, and the gates of one layer touch disjoint wires, so they commute
-and can be thought of as executing simultaneously. Basis states are plain
-integers with bit 0 corresponding to flat wire index 0 (little-endian).
-Role labels are only for the edges: the MQGC1 file format and text output.
+A wire is its flat index. A circuit is a tuple of wire labels (``A0``,
+``B1``, ...), one per flat index, plus a tuple of layers. Each layer is a
+tuple of ``(c1, c2, t)`` flat wire indices, one per Toffoli, and the gates
+of one layer touch disjoint wires, so they commute and can be thought of
+as executing simultaneously. Basis states are plain integers with bit 0
+corresponding to flat wire index 0 (little-endian). ``wire`` is the
+n-network's one layout formula from role and row to flat index; labels
+are only for the edges: the MQGC1 file format and text output.
 """
 from __future__ import annotations
 
@@ -13,8 +15,6 @@ import re
 from collections import namedtuple
 from functools import lru_cache
 from typing import NamedTuple
-
-ROLES = ("A", "B", "C", "D")
 
 FORMAT_MAGIC = "MQGC1"
 
@@ -54,37 +54,6 @@ class CircuitParseError(CircuitError):
         self.line = line
 
 
-class QubitRef(namedtuple("QubitRef", "role index")):
-    """A wire identified by role letter and row index, e.g. B3."""
-
-    __slots__ = ()
-
-    def __new__(cls, role: str, index: int):
-        if role not in ROLES:
-            raise CircuitError(f"unknown role {role!r}")
-        if index < 0:
-            raise CircuitError(f"negative qubit index {index}")
-        return super().__new__(cls, role, index)
-
-    @classmethod
-    def _make(cls, fields) -> "QubitRef":
-        return cls(*fields)  # so _replace validates too
-
-    @property
-    def label(self) -> str:
-        return f"{self.role}{self.index}"
-
-    @classmethod
-    def from_label(cls, label: str) -> "QubitRef":
-        match = _LABEL.fullmatch(label)
-        if match is None:
-            raise CircuitError(f"bad qubit label {label!r}")
-        return cls(match[1], int(match[2]))
-
-    def __repr__(self) -> str:
-        return self.label
-
-
 def _check_layer(index: int, layer: tuple[Gate, ...], width: int) -> None:
     if not layer:
         raise LayerError(index, None, "empty layer")
@@ -103,17 +72,20 @@ def _check_layer(index: int, layer: tuple[Gate, ...], width: int) -> None:
 
 
 class Circuit(namedtuple("Circuit", "roles layers")):
-    """Immutable circuit: role per flat index, plus layers of (c1, c2, t) gates.
+    """Immutable circuit: label per flat index, plus layers of (c1, c2, t) gates.
 
-    Construction checks that the roles are distinct and that every layer is
-    non-empty, in range, and made of disjoint three-wire gates. Equal
-    layers are checked once, so a network that repeats a few layer
-    templates costs a hash per layer.
+    Construction checks that the labels are canonical and distinct and that
+    every layer is non-empty, in range, and made of disjoint three-wire
+    gates. Equal layers are checked once, so a network that repeats a few
+    layer templates costs a hash per layer.
     """
 
     __slots__ = ()
 
-    def __new__(cls, roles: tuple[QubitRef, ...], layers: tuple[tuple[Gate, ...], ...] = ()):
+    def __new__(cls, roles: tuple[str, ...], layers: tuple[tuple[Gate, ...], ...] = ()):
+        for label in roles:
+            if not (isinstance(label, str) and _LABEL.fullmatch(label)):
+                raise CircuitError(f"bad qubit label {label!r}")
         if len(set(roles)) != len(roles):
             raise CircuitError("role map is not a bijection (duplicate labels)")
         first: dict[tuple[Gate, ...], int] = {}
@@ -146,24 +118,36 @@ def metrics(circuit: Circuit) -> Metrics:
     )
 
 
-@lru_cache(maxsize=None)
-def mqg_roles(n: int) -> tuple[QubitRef, ...]:
-    """Canonical wire order of the 2^(n+2)+1-qubit network.
-
-    a_0 first, then per row l = 1..2^n the block (b_l, c_l, d_l, a_l); keeps
-    each layer's support contiguous.
-    """
+def network_rows(n: int) -> range:
+    """The rows l = 1..2^n of the n-network, which needs n >= 1."""
     if n < 1:
         raise CircuitError(f"need n >= 1, got {n}")
-    refs = [QubitRef("A", 0)]
-    for l in range(1, 2**n + 1):
-        refs += [QubitRef("B", l), QubitRef("C", l), QubitRef("D", l), QubitRef("A", l)]
-    return tuple(refs)
+    return range(1, 2**n + 1)
+
+
+def wire(role: str, l: int) -> int:
+    """Flat index of wire ``role``_l in the n-network: a_0 is 0, and row l
+    holds b_l, c_l, d_l, a_l at 4l-3 .. 4l, so each layer's support is contiguous."""
+    return 4 * l - 3 + "BCDA".index(role)
+
+
+@lru_cache(maxsize=None)
+def mqg_roles(n: int) -> tuple[str, ...]:
+    """Wire labels of the 2^(n+2)+1-qubit network, in ``wire`` order."""
+    return ("A0",) + tuple(f"{r}{l}" for l in network_rows(n) for r in "BCDA")
+
+
+def control_target_masks(n: int) -> tuple[int, int]:
+    """Controls a_0, b_l, c_l and target a_{2^n} of the n-network, as bit masks."""
+    control = 1 << wire("A", 0)
+    for l in network_rows(n):
+        control |= 1 << wire("B", l) | 1 << wire("C", l)
+    return control, 1 << wire("A", 2**n)
 
 
 def serialize(circuit: Circuit) -> str:
     lines = [FORMAT_MAGIC, f"qubits {circuit.num_qubits}"]
-    lines += [f"role {i} {ref.label}" for i, ref in enumerate(circuit.roles)]
+    lines += [f"role {i} {label}" for i, label in enumerate(circuit.roles)]
     for layer in circuit.layers:
         lines.append("layer")
         lines += [f"toff {c1} {c2} {t}" for c1, c2, t in layer]
@@ -203,10 +187,9 @@ def parse(text: str) -> Circuit:
             fail(lineno, f"expected 'role <index> <label>', got {lines[lineno - 1]!r}")
         if int(match[1]) != i:
             fail(lineno, f"role index {match[1]} out of order (expected {i})")
-        try:
-            roles.append(QubitRef.from_label(match[2]))
-        except CircuitError as e:
-            fail(lineno, str(e))
+        if _LABEL.fullmatch(match[2]) is None:
+            fail(lineno, f"bad qubit label {match[2]!r}")
+        roles.append(match[2])
 
     layers: list[list[Gate]] = []
     layer_lines: list[int] = []

@@ -79,13 +79,14 @@ def cmd_synth(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .circuit import CircuitError, mqg_roles, parse
+    from .circuit import CircuitError, control_target_masks, mqg_roles, parse
     from .sim import DEFAULT_EXHAUSTIVE_LIMIT, check_anf, mcx_oracle, run_all, run_anf
-    from .synthesis import control_target_masks, synth_mqg_network
 
     if args.circuit:
         circuit = parse(Path(args.circuit).read_text(encoding="utf-8"))
     else:
+        from .synthesis import synth_mqg_network
+
         circuit = synth_mqg_network(args.n)
     n = _network_n(circuit.num_qubits)
     if circuit.roles != mqg_roles(n):

@@ -17,9 +17,7 @@ A_l(k) and Z_l(k) as an ANF.
 """
 from __future__ import annotations
 
-from functools import lru_cache
-
-from .circuit import QubitRef, mqg_roles
+from .circuit import network_rows, wire
 
 
 def _bits(mask: int) -> tuple[int, ...]:
@@ -129,11 +127,6 @@ def compose(outer: dict[int, Anf], inner: dict[int, Anf]) -> dict[int, Anf]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _flat(n: int) -> dict[QubitRef, int]:
-    return {ref: i for i, ref in enumerate(mqg_roles(n))}
-
-
 def block_stages(n: int, columns):
     """Yield the lists (A, Z) with A[l] = A_l(k) and Z[l] = Z_l(k), for k = 1..2^n.
 
@@ -142,11 +135,10 @@ def block_stages(n: int, columns):
     Z_l(1) = B_l (A_{l-1} C_l + D_l) + A_l is the k >= 2 step
     Z_l(k) = B_l C_l A_{l-1}(k-1) + Z_l(k-1) from Z_l(0) := B_l D_l + A_l.
     """
-    idx = _flat(n)
-    rows = range(1, 2**n + 1)
+    rows = network_rows(n)
 
     def col(role: str, l: int):
-        return columns[idx[QubitRef(role, l)]]
+        return columns[wire(role, l)]
 
     A = [col("A", l) for l in range(2**n + 1)]
     bc = [None] + [col("B", l) & col("C", l) for l in rows]

@@ -280,8 +280,8 @@ def verify_identity(
     whether the surviving set is exactly the one coupling class at 4t that
     the kind is meant to isolate (true on every even-row or open lattice;
     an odd periodic ring has a parity seam that defeats kinds 3 and 6).
-    ``groups`` overrides the canonical pulses (for mutation tests); the
-    evolution time is always ``t``.
+    ``groups`` overrides the canonical pulses P1..P4 with four others (for
+    mutation tests); the evolution time is always ``t``.
     """
     if not 0.0 <= t < math.inf:
         raise LatticeError(f"evolution time t must be finite and >= 0, got {t}")
@@ -294,6 +294,8 @@ def verify_identity(
     seq = canonical_sequence(kind, t)
     if groups is not None:
         seq = seq._replace(groups=tuple(groups))
+        if len(seq.groups) != 4:
+            raise LatticeError(f"a sequence has four pulse groups, got {len(seq.groups)}")
     eff = effective_evolution(seq, cfg)
     published = {
         (t2.i, t2.j): 4.0 * t * t2.coeff for t2 in target_terms(kind, cfg)

@@ -21,8 +21,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
-from .circuit import Circuit, CircuitError, Gate, QubitRef, mqg_roles
-from .synthesis import layer_templates
+from .circuit import Circuit, CircuitError, Gate, mqg_roles
 
 if TYPE_CHECKING:
     from .gf2 import Anf
@@ -212,10 +211,9 @@ def _anf_map(layers: tuple[tuple[Gate, ...], ...], width: int) -> dict[int, Anf]
 
 
 def check_anf(
-    outputs: Mapping[int, Anf], oracle: McxOracle, roles: Sequence[QubitRef]
+    outputs: Mapping[int, Anf], oracle: McxOracle, names: Sequence[str]
 ) -> EquivReport:
-    """Compare a circuit's output ANFs (from ``run_anf``) with the oracle's."""
-    names = [ref.label for ref in roles]
+    """Compare output ANFs (from ``run_anf``) with the oracle's; ``names`` label the wires."""
     width = len(names)
     expected = oracle.anf(width)
     for i in range(width):
@@ -267,6 +265,7 @@ def check_stages(circuit: Circuit, n: int, columns: Sequence) -> list[Stage]:
     layers are checked before the run.
     """
     from .gf2 import block_stages
+    from .synthesis import layer_templates
 
     type1, type2 = layer_templates(n)
     if circuit.roles != mqg_roles(n) or circuit.layers != (type1, type2) * 2 ** (n + 1):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .circuit import Circuit, CircuitError, Gate, QubitRef, metrics, mqg_roles
+from .circuit import Circuit, CircuitError, Gate, metrics, mqg_roles, network_rows, wire
 
 # Largest n the network builder takes. `synth --n 10` (4097 wires, 4096
 # layers) peaks at about 520 MB and each step up costs about 4x, so n = 11
@@ -24,16 +24,9 @@ def layer_templates(n: int) -> tuple[tuple[Gate, ...], tuple[Gate, ...]]:
     Type 1 is T(a_{l-1}, c_l -> d_l) and type 2 is T(b_l, d_l -> a_l), for
     every row l = 1..2^n.
     """
-    idx = {ref: i for i, ref in enumerate(mqg_roles(n))}
-    rows = range(1, 2**n + 1)
-    type1 = tuple(
-        (idx[QubitRef("A", l - 1)], idx[QubitRef("C", l)], idx[QubitRef("D", l)])
-        for l in rows
-    )
-    type2 = tuple(
-        (idx[QubitRef("B", l)], idx[QubitRef("D", l)], idx[QubitRef("A", l)])
-        for l in rows
-    )
+    rows = network_rows(n)
+    type1 = tuple((wire("A", l - 1), wire("C", l), wire("D", l)) for l in rows)
+    type2 = tuple((wire("B", l), wire("D", l), wire("A", l)) for l in rows)
     return type1, type2
 
 
@@ -47,15 +40,6 @@ def synth_mqg_network(n: int) -> Circuit:
     return Circuit(mqg_roles(n), layer_templates(n) * 2 ** (n + 1))
 
 
-def control_target_masks(n: int) -> tuple[int, int]:
-    """Controls a_0, b_l, c_l and target a_{2^n} of the n-network, as bit masks."""
-    roles = mqg_roles(n)
-    control = sum(
-        1 << i for i, ref in enumerate(roles) if ref.role in "BC" or ref == QubitRef("A", 0)
-    )
-    return control, 1 << roles.index(QubitRef("A", 2**n))
-
-
 def pin_mask(n: int, active: int) -> int:
     """Controls to hold at 1 so the n-network acts as a C^active-NOT.
 
@@ -65,16 +49,15 @@ def pin_mask(n: int, active: int) -> int:
     budget = 2 ** (n + 1) + 1
     if not 2 <= active <= budget:
         raise CircuitError(f"active control count {active} outside 2..{budget}")
-    roles = mqg_roles(n)
-    order = [roles.index(QubitRef(r, l)) for l in range(2**n, 0, -1) for r in "CB"]
+    order = [wire(r, l) for l in reversed(network_rows(n)) for r in "CB"]
     return sum(1 << i for i in order[: budget - active])
 
 
-def baseline_roles(m_controls: int) -> tuple[QubitRef, ...]:
-    """Wire order of the V-chain: controls, then ancillas, then target."""
-    controls = tuple(QubitRef("C", i) for i in range(1, m_controls + 1))
-    ancillas = tuple(QubitRef("D", i) for i in range(1, m_controls - 1))
-    return controls + ancillas + (QubitRef("A", 0),)
+def baseline_roles(m_controls: int) -> tuple[str, ...]:
+    """Wire labels of the V-chain: controls, then ancillas, then target."""
+    controls = tuple(f"C{i}" for i in range(1, m_controls + 1))
+    ancillas = tuple(f"D{i}" for i in range(1, m_controls - 1))
+    return controls + ancillas + ("A0",)
 
 
 def synth_baseline_dirty(m_controls: int) -> Circuit:

@@ -6,17 +6,18 @@ from mqgsim.circuit import (
     CircuitError,
     CircuitParseError,
     LayerDisjointnessError,
-    QubitRef,
+    control_target_masks,
     metrics,
     mqg_roles,
     parse,
     serialize,
+    wire,
 )
 from mqgsim.sim import output_columns
 from mqgsim.synthesis import synth_mqg_network
-from network_reference import table_words
+from network_reference import network_masks, table_words
 
-A0 = QubitRef("A", 0)
+A0 = "A0"
 
 THREE_WIRES = "MQGC1\nqubits 3\nrole 0 A0\nrole 1 B1\nrole 2 C1\n"
 
@@ -44,6 +45,24 @@ def test_make_circuit_missing_index():
 def test_make_circuit_duplicate_label():
     with pytest.raises(CircuitError):
         Circuit((A0, A0))
+
+
+@pytest.mark.parametrize("label", ["E1", "A01", "a1", "A-1", "", "A\u0661", 0, None])
+def test_make_circuit_rejects_bad_labels(label):
+    # Construction in code checks the same canonical spelling parse does.
+    with pytest.raises(CircuitError, match="bad qubit label"):
+        Circuit((A0, label))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_wire_layout(n):
+    roles = mqg_roles(n)
+    assert len(roles) == 2 ** (n + 2) + 1
+    assert roles[wire("A", 0)] == "A0"
+    for l in range(1, 2**n + 1):
+        for r in "ABCD":
+            assert roles[wire(r, l)] == f"{r}{l}"
+    assert control_target_masks(n) == network_masks(n)
 
 
 def test_push_layer_disjoint_accepted():
@@ -78,13 +97,13 @@ def test_gate_duplicate_wire_rejected():
 
 
 def test_apply_gate_truth_table():
-    c = Circuit((A0, QubitRef("C", 1), QubitRef("D", 1)), (((0, 1, 2),),))
+    c = Circuit((A0, "C1", "D1"), (((0, 1, 2),),))
     # Words are little-endian: 0b011 has wires 0 and 1 set.
     assert table_words(output_columns(c)) == [0, 1, 2, 7, 4, 5, 6, 3]
 
 
 def test_apply_gate_involution():
-    c = Circuit((A0, QubitRef("C", 1), QubitRef("D", 1)), (((0, 1, 2),),))
+    c = Circuit((A0, "C1", "D1"), (((0, 1, 2),),))
     outs = table_words(output_columns(c))
     for word in range(8):
         assert outs[outs[word]] == word
@@ -164,6 +183,8 @@ def test_parse_duplicate_ref_rejected():
         # Non-canonical spellings: serialize would write each differently.
         ("MQGC1\nqubits 1\nrole 0 A01\n", 3),
         ("MQGC1\nqubits 1\nrole 0 A\u0661\n", 3),
+        ("MQGC1\nqubits 1\nrole 0 E1\n", 3),
+        ("MQGC1\nqubits 1\nrole 0 a0\n", 3),
         ("MQGC1\nqubits +1\nrole 0 A0\n", 2),
         (f"{THREE_WIRES}layer\ntoff +0 1 2\n", 7),
         ("MQGC1\nqubits 1  \nrole 0 A0\n", 2),
@@ -212,7 +233,7 @@ def circuits(draw):
         wires = draw(st.permutations(range(width)))
         gates = draw(st.integers(1, width // 3))
         layers.append(tuple(tuple(wires[3 * g : 3 * g + 3]) for g in range(gates)))
-    return Circuit(tuple(QubitRef(r, i) for r, i in labels), tuple(layers))
+    return Circuit(tuple(f"{r}{i}" for r, i in labels), tuple(layers))
 
 
 @given(circuits())

@@ -105,14 +105,22 @@ def test_circuit_commands_never_import_numpy(tmp_path):
     # Each command imports only the modules it runs.
     assert {"mqgsim.circuit", "mqgsim.sim"} <= modules
     assert not modules & {"numpy", "dataclasses", "mqgsim.nmr"}
-    # The exhaustive check needs no ANF algebra; the symbolic one loads it.
+    # The exhaustive check needs no ANF algebra and a file needs no builder;
+    # the symbolic check loads gf2, and --n and trace load synthesis.
     codes, modules = probe(["verify", "--circuit", str(n1)], ["verify", "--circuit", str(mutant)])
     assert codes == [0, 1]
     assert "mqgsim.sim" in modules
-    assert not modules & {"numpy", "mqgsim.gf2"}
+    assert not modules & {"numpy", "mqgsim.gf2", "mqgsim.synthesis"}
+    symbolic = ["--mode", "symbolic"]
+    codes, modules = probe(["verify", "--circuit", str(n1), *symbolic],
+                           ["verify", "--circuit", str(mutant), *symbolic])
+    assert codes == [0, 1]
+    assert "mqgsim.gf2" in modules and "mqgsim.synthesis" not in modules
     codes, modules = probe(["verify", "--n", "3"])
     assert codes == [0]
-    assert "mqgsim.gf2" in modules
+    assert {"mqgsim.gf2", "mqgsim.synthesis"} <= modules
+    codes, modules = probe(["trace", "--n", "1", "--input", "111110000"])
+    assert codes == [0] and "mqgsim.synthesis" in modules
 
 
 def test_only_nmr_imports_numpy():

@@ -339,6 +339,15 @@ def test_verify_identity_groups_override_only_the_pulses():
         assert plain.t == 0.7 and plain.passed
 
 
+@pytest.mark.parametrize("count", [0, 3, 5])
+def test_verify_identity_needs_four_groups(count):
+    # U = E P1 E P2 E P3 E P4: a dropped or extra segment is refused, not passed.
+    cfg = cfg_random(2, seed=6)
+    groups = (canonical_sequence(1, 0.7).groups * 2)[:count]
+    with pytest.raises(LatticeError, match=f"has four pulse groups, got {count}"):
+        verify_identity(1, cfg, t=0.7, groups=groups)
+
+
 def test_verify_identity_mutation_fails():
     cfg = cfg_random(2, seed=6)
     groups = list(canonical_sequence(1, 0.7).groups)

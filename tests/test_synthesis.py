@@ -1,9 +1,10 @@
 import pytest
 
-from mqgsim.circuit import CircuitError, QubitRef, metrics, mqg_roles
+from mqgsim.circuit import CircuitError, control_target_masks, metrics, mqg_roles
+from mqgsim.gf2 import block_stages
 from mqgsim.sim import output_columns
 from mqgsim.synthesis import (
-    control_target_masks,
+    layer_templates,
     pin_mask,
     synth_baseline_dirty,
     synth_mqg_network,
@@ -13,7 +14,7 @@ from network_reference import mcx_table, network_masks, table_columns, table_wor
 
 
 def T(roles, c1, c2, t):
-    return tuple(roles.index(QubitRef(*ref)) for ref in (c1, c2, t))
+    return tuple(roles.index(f"{r}{l}") for r, l in (c1, c2, t))
 
 
 def test_spec_derived_quantities():
@@ -29,6 +30,16 @@ def test_spec_derived_quantities():
 def test_spec_rejects_n_zero():
     with pytest.raises(CircuitError):
         synth_mqg_network(0)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize(
+    "call", [mqg_roles, control_target_masks, layer_templates, lambda n: pin_mask(n, 2),
+             lambda n: next(block_stages(n, [0] * 9))],
+)
+def test_layout_helpers_reject_n_below_one(n, call):
+    with pytest.raises(CircuitError, match="need n >= 1"):
+        call(n)
 
 
 def test_network_layer_structure_n1():
@@ -52,24 +63,21 @@ def test_network_layer_support(n):
 def test_network_never_targets_controls(n):
     c = synth_mqg_network(n)
     targets = {c.roles[t] for layer in c.layers for _, _, t in layer}
-    assert QubitRef("A", 0) not in targets
-    assert not any(t.role in ("B", "C") for t in targets)
+    assert "A0" not in targets
+    assert not any(t[0] in ("B", "C") for t in targets)
 
 
 def test_network_all_controls_one():
     # Only the target flips when every control is 1 and the rest start at 0.
     c = synth_mqg_network(1)
-    idx = {ref: i for i, ref in enumerate(c.roles)}
-    word = 0
-    for ref in [QubitRef("A", 0)] + [QubitRef(r, l) for l in (1, 2) for r in "BC"]:
-        word |= 1 << idx[ref]
+    word = sum(1 << c.roles.index(label) for label in ("A0", "B1", "C1", "B2", "C2"))
     out = table_words(output_columns(c))[word]
-    assert out == word | (1 << idx[QubitRef("A", 2)])
+    assert out == word | (1 << c.roles.index("A2"))
 
 
 def test_network_identity_when_a_control_is_zero():
     c = synth_mqg_network(1)
-    c2_bit = 1 << c.roles.index(QubitRef("C", 2))
+    c2_bit = 1 << c.roles.index("C2")
     outs = table_words(output_columns(c))
     for word in range(1 << 9):
         if not word & c2_bit:
@@ -87,7 +95,7 @@ def test_network_identity_when_a_control_is_zero():
 )
 def test_padding_pin_policy(active, pinned_labels):
     mask = pin_mask(1, active)
-    assert {ref.label for i, ref in enumerate(mqg_roles(1)) if mask >> i & 1} == pinned_labels
+    assert {label for i, label in enumerate(mqg_roles(1)) if mask >> i & 1} == pinned_labels
 
 
 def test_padding_rejects_out_of_range():
@@ -127,11 +135,10 @@ def test_baseline_exhaustive_with_dirty_ancillas(m):
 
 def test_baseline_dirty_example_m4():
     c = synth_baseline_dirty(4)
-    idx = {ref: i for i, ref in enumerate(c.roles)}
-    word = 0b1111  # controls all 1
-    word |= (1 << idx[QubitRef("D", 1)]) | (1 << idx[QubitRef("D", 2)])  # dirty
+    # Controls all 1, ancillas dirty.
+    word = 0b1111 | (1 << c.roles.index("D1")) | (1 << c.roles.index("D2"))
     out = table_words(output_columns(c))[word]
-    assert out == word | (1 << idx[QubitRef("A", 0)])
+    assert out == word | (1 << c.roles.index("A0"))
 
 
 @pytest.mark.parametrize(
