@@ -19,7 +19,8 @@ from typing import NamedTuple
 FORMAT_MAGIC = "MQGC1"
 
 # ASCII decimal, no sign, no leading zero: the only spelling serialize emits.
-_NUM = "(0|[1-9][0-9]*)"
+# At most 4300 digits, the most Python's int() converts by default.
+_NUM = "(0|[1-9][0-9]{0,4299})"
 _LABEL = re.compile(f"([ABCD]){_NUM}")
 _QUBITS = re.compile(f"qubits {_NUM}")
 _ROLE = re.compile(f"role {_NUM} (.*)")
@@ -135,6 +136,18 @@ def wire(role: str, l: int) -> int:
 def mqg_roles(n: int) -> tuple[str, ...]:
     """Wire labels of the 2^(n+2)+1-qubit network, in ``wire`` order."""
     return ("A0",) + tuple(f"{r}{l}" for l in network_rows(n) for r in "BCDA")
+
+
+def network_n(circuit: Circuit) -> int:
+    """The n of the n-network whose layout ``circuit`` has: 2^(n+2)+1 wires
+    labelled ``mqg_roles(n)``. Its layers are not checked."""
+    M = circuit.num_qubits
+    n = (M - 1).bit_length() - 3
+    if n < 1 or 2 ** (n + 2) + 1 != M:
+        raise CircuitError(f"{M} qubits does not match any n-network")
+    if circuit.roles != mqg_roles(n):
+        raise CircuitError("circuit role map does not match the n-network layout")
+    return n
 
 
 def control_target_masks(n: int) -> tuple[int, int]:

@@ -53,16 +53,6 @@ def _report(report) -> dict:
     return rep
 
 
-def _network_n(num_qubits: int) -> int:
-    from .circuit import CircuitError
-
-    # invert M = 2^(n+2) + 1
-    n = (num_qubits - 1).bit_length() - 3
-    if n < 1 or 2 ** (n + 2) + 1 != num_qubits:
-        raise CircuitError(f"{num_qubits} qubits does not match any n-network")
-    return n
-
-
 def cmd_synth(args) -> int:
     from .circuit import metrics, serialize
     from .synthesis import synth_mqg_network
@@ -79,8 +69,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .circuit import CircuitError, control_target_masks, mqg_roles, parse
-    from .sim import DEFAULT_EXHAUSTIVE_LIMIT, check_anf, mcx_oracle, run_all, run_anf
+    from .circuit import control_target_masks, network_n, parse
+    from .sim import EXHAUSTIVE_LIMIT, check_anf, mcx_oracle, run_all, run_anf
 
     if args.circuit:
         circuit = parse(Path(args.circuit).read_text(encoding="utf-8"))
@@ -88,14 +78,11 @@ def cmd_verify(args) -> int:
         from .synthesis import synth_mqg_network
 
         circuit = synth_mqg_network(args.n)
-    n = _network_n(circuit.num_qubits)
-    if circuit.roles != mqg_roles(n):
-        raise CircuitError("circuit role map does not match the n-network layout")
-    oracle = mcx_oracle(*control_target_masks(n))
+    oracle = mcx_oracle(*control_target_masks(network_n(circuit)))
 
     mode = args.mode
     if mode == "auto":
-        mode = "exhaustive" if circuit.num_qubits <= DEFAULT_EXHAUSTIVE_LIMIT else "symbolic"
+        mode = "exhaustive" if circuit.num_qubits <= EXHAUSTIVE_LIMIT else "symbolic"
     if mode == "exhaustive":
         report = run_all(circuit, oracle)
     else:
@@ -143,7 +130,7 @@ def cmd_trace(args) -> int:
         raise CircuitError(
             f"--input must be {circuit.num_qubits} chars of 0/1 in flat-index order"
         )
-    stages = check_stages(circuit, n, [int(ch) for ch in args.input])
+    stages = check_stages(circuit, [int(ch) for ch in args.input])
     all_match = all(st.match for st in stages)
     if args.format == "json":
         blocks = [dict(st._asdict(), match=st.match) for st in stages]

@@ -33,42 +33,25 @@ def _bits(mask: int) -> tuple[int, ...]:
 class Anf:
     """Polynomial over GF(2): XOR of AND-monomials, canonical by set identity.
 
-    The constructor takes monomials as iterables of variable indices; each
-    is stored as a bit mask. The empty monomial (mask 0) is the constant 1;
-    the empty polynomial is 0.
+    The constructor takes the monomials' bit masks. The empty monomial
+    (mask 0) is the constant 1; the empty polynomial, ``Anf()``, is 0.
     """
 
     __slots__ = ("monomials",)
 
-    def __init__(self, monomials=()):
-        masks = set()
-        for m in monomials:
-            mask = 0
-            for v in m:
-                mask |= 1 << v
-            masks.add(mask)
+    def __init__(self, masks=()):
         self.monomials = frozenset(masks)
 
     @classmethod
-    def _of(cls, masks: frozenset) -> "Anf":
-        poly = cls.__new__(cls)
-        poly.monomials = masks
-        return poly
-
-    @classmethod
-    def zero(cls) -> "Anf":
-        return cls._of(frozenset())
-
-    @classmethod
     def one(cls) -> "Anf":
-        return cls._of(frozenset((0,)))
+        return cls((0,))
 
     @classmethod
     def var(cls, v: int) -> "Anf":
-        return cls._of(frozenset((1 << v,)))
+        return cls((1 << v,))
 
     def __xor__(self, other: "Anf") -> "Anf":
-        return Anf._of(self.monomials ^ other.monomials)
+        return Anf(self.monomials ^ other.monomials)
 
     def __and__(self, other: "Anf") -> "Anf":
         acc: set[int] = set()
@@ -79,7 +62,7 @@ class Anf:
                     acc.remove(m)
                 else:
                     acc.add(m)
-        return Anf._of(frozenset(acc))
+        return Anf(acc)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Anf) and self.monomials == other.monomials
@@ -119,11 +102,11 @@ def compose(outer: dict[int, Anf], inner: dict[int, Anf]) -> dict[int, Anf]:
     for w, poly in outer.items():
         acc: set[int] = set()
         for m in poly.monomials:
-            term = Anf._of(frozenset((m & ~moved,)))
+            term = Anf((m & ~moved,))
             for v in _bits(m & moved):
                 term = term & inner[v]
             acc ^= term.monomials
-        out[w] = Anf._of(frozenset(acc))
+        out[w] = Anf(acc)
     return out
 
 

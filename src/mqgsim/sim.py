@@ -9,27 +9,28 @@ width. ``run_anf`` squares where the layer sequence repeats: when its two
 halves are equal it builds the half's ANF map once, recursively, and
 composes it with itself (``gf2.compose``); it runs the gate pass only on
 a sequence whose halves differ. The single reference is ``mcx_oracle``:
-a multi-controlled NOT given by a control mask and a target mask. The
-exhaustive check compares the whole truth table with it and the symbolic
-check compares output ANFs with it; both return an EquivReport.
+a multi-controlled NOT given by a control mask and a target mask, whose
+one evaluator ``McxOracle.apply`` also runs on columns of any kind. The
+exhaustive check applies it to the identity truth table and the symbolic
+check to ``Anf.var`` columns; both return an EquivReport.
 
 ``check_stages`` runs the n-network's layers beside ``gf2.block_stages``,
-the one recurrence pass, on the same columns of either kind, and compares
+the one recurrence pass, on the same columns of any kind, and compares
 the two at every block-stage boundary.
 """
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
-from .circuit import Circuit, CircuitError, Gate, mqg_roles
+from .circuit import Circuit, CircuitError, Gate, network_n
 
 if TYPE_CHECKING:
     from .gf2 import Anf
 
 # A truth-table check holds three sets of M columns of 2^M bits at its
-# peak (outputs, the reverse pass and the identity, then the oracle), about
-# 3*M*2^M/8 bytes: 144 MB at 24 qubits.
-DEFAULT_EXHAUSTIVE_LIMIT = 24
+# peak (outputs, the reverse pass and the identity; the oracle then shares
+# the reverse pass's columns), about 3*M*2^M/8 bytes: 144 MB at 24 qubits.
+EXHAUSTIVE_LIMIT = 24
 
 
 def bitstring(word: int, width: int) -> str:
@@ -87,39 +88,21 @@ class McxOracle(NamedTuple):
     control: int
     target: int
 
-    def _check_width(self, width: int) -> None:
+    def apply(self, columns: Sequence, one) -> list:
+        """The output on ``columns``, one per wire, of any type with ``&`` and
+        ``^``: the AND of the control columns, from ``one`` (the type's 1),
+        XORed into each target column."""
+        width = len(columns)
         if (self.control | self.target) >> width:
             raise CircuitError(
                 f"oracle masks control {self.control:#x}, target {self.target:#x} "
                 f"do not fit {width} wires"
             )
-
-    def columns(self, width: int) -> list[int]:
-        """The truth table over all 2^width basis states, bit-sliced."""
-        self._check_width(width)
-        columns = wire_columns(width)
-        fires = (1 << (1 << width)) - 1
+        fires = one
         for i in range(width):
             if self.control >> i & 1:
                 fires &= columns[i]
-        for i in range(width):
-            if self.target >> i & 1:
-                columns[i] ^= fires
-        return columns
-
-    def anf(self, width: int) -> dict[int, Anf]:
-        """The output ANF of every wire, keyed by flat index."""
-        from .gf2 import Anf
-
-        self._check_width(width)
-        product = Anf.one()
-        for i in range(width):
-            if self.control >> i & 1:
-                product = product & Anf.var(i)
-        return {
-            i: Anf.var(i) ^ product if self.target >> i & 1 else Anf.var(i)
-            for i in range(width)
-        }
+        return [c ^ fires if self.target >> i & 1 else c for i, c in enumerate(columns)]
 
 
 def mcx_oracle(control_mask: int, target_mask: int) -> McxOracle:
@@ -145,21 +128,18 @@ class EquivReport(NamedTuple):
     counterexample: dict | None = None
 
 
-def run_all(
-    circuit: Circuit,
-    oracle: McxOracle,
-    max_qubits: int = DEFAULT_EXHAUSTIVE_LIMIT,
-) -> EquivReport:
+def run_all(circuit: Circuit, oracle: McxOracle) -> EquivReport:
     """Exhaustive bit-sliced truth-table comparison; the counterexample is the
     lowest failing input.
 
     Running the layers in reverse over the output columns must give back
-    the identity columns, which proves the computed map is a bijection.
+    the identity columns, which proves the computed map is a bijection;
+    the oracle is then applied to those identity columns.
     """
     M = circuit.num_qubits
-    if M > max_qubits:
+    if M > EXHAUSTIVE_LIMIT:
         raise CircuitError(
-            f"{M} qubits exceeds the exhaustive limit {max_qubits}; "
+            f"{M} qubits exceeds the exhaustive limit {EXHAUSTIVE_LIMIT}; "
             "use --mode symbolic"
         )
     outputs = output_columns(circuit)
@@ -167,8 +147,7 @@ def run_all(
     _apply_layers(undone, reversed(circuit.layers))
     if undone != wire_columns(M):
         raise CircuitError("circuit output map is not a bijection")
-    del undone
-    expected = oracle.columns(M)
+    expected = oracle.apply(undone, (1 << (1 << M)) - 1)
     bad = 0
     for out, exp in zip(outputs, expected):
         bad |= out ^ exp
@@ -214,8 +193,10 @@ def check_anf(
     outputs: Mapping[int, Anf], oracle: McxOracle, names: Sequence[str]
 ) -> EquivReport:
     """Compare output ANFs (from ``run_anf``) with the oracle's; ``names`` label the wires."""
+    from .gf2 import Anf
+
     width = len(names)
-    expected = oracle.anf(width)
+    expected = oracle.apply([Anf.var(i) for i in range(width)], Anf.one())
     for i in range(width):
         if outputs[i] != expected[i]:
             return EquivReport(
@@ -255,20 +236,21 @@ class Stage(NamedTuple):
         )
 
 
-def check_stages(circuit: Circuit, n: int, columns: Sequence) -> list[Stage]:
+def check_stages(circuit: Circuit, columns: Sequence) -> list[Stage]:
     """Run the n-network two layers at a time beside the block recurrences.
 
     Z_l(k) is a_l after layer 4k-2; A_l(k) and D_l(k) are a_l and d_l after
     layer 4k. ``columns`` are the input, one per wire: one-state or
     all-state int columns, or ``Anf.var`` columns. The circuit must be the
-    canonical n-network: its roles and its alternating type-1/type-2
-    layers are checked before the run.
+    canonical n-network: its layout (``network_n``) and its alternating
+    type-1/type-2 layers are checked before the run.
     """
     from .gf2 import block_stages
     from .synthesis import layer_templates
 
+    n = network_n(circuit)
     type1, type2 = layer_templates(n)
-    if circuit.roles != mqg_roles(n) or circuit.layers != (type1, type2) * 2 ** (n + 1):
+    if circuit.layers != (type1, type2) * 2 ** (n + 1):
         raise CircuitError("circuit is not the block-structured n-network")
     if len(columns) != circuit.num_qubits:
         raise CircuitError(

@@ -37,7 +37,7 @@ def closed_form_outputs(n):
     width = target.bit_length()
     out = {i: Anf.var(i) for i in range(width)}
     t = width - 1
-    out[t] = Anf([[i for i in range(width) if control >> i & 1]]) ^ out[t]
+    out[t] = Anf([control]) ^ out[t]
     return out
 
 

@@ -80,7 +80,7 @@ def test_criterion_4_block_recurrences():
     # Every input at once (512 at n=1, 131072 at n=2), bit-sliced.
     for n in (1, 2):
         c = network(n)
-        stages = check_stages(c, n, wire_columns(c.num_qubits))
+        stages = check_stages(c, wire_columns(c.num_qubits))
         ok &= len(stages) == 4**n and all(st.match for st in stages)
 
     # Exact ANF identities; at n=1 the final-stage ones are the worked stage-2 forms.
@@ -197,7 +197,8 @@ def test_criterion_9_padding():
     for active in (2, 3, 4):
         pinned = pin_mask(1, active)
         ok &= bin(control_mask & ~pinned).count("1") == active
-        expected = mcx_oracle(control_mask & ~pinned, target_mask).columns(M)
+        oracle = mcx_oracle(control_mask & ~pinned, target_mask)
+        expected = oracle.apply(wire_columns(M), (1 << (1 << M)) - 1)
         # Bit s of held is set on the states with every pinned control at 1.
         held = sum(1 << s for s in range(1 << M) if s & pinned == pinned)
         ok &= bin(held).count("1") == 1 << (M - bin(pinned).count("1"))

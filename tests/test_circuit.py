@@ -9,6 +9,7 @@ from mqgsim.circuit import (
     control_target_masks,
     metrics,
     mqg_roles,
+    network_n,
     parse,
     serialize,
     wire,
@@ -20,6 +21,7 @@ from network_reference import network_masks, table_words
 A0 = "A0"
 
 THREE_WIRES = "MQGC1\nqubits 3\nrole 0 A0\nrole 1 B1\nrole 2 C1\n"
+LONG = "9" * 5000
 
 
 def test_make_circuit_empty():
@@ -63,6 +65,20 @@ def test_wire_layout(n):
         for r in "ABCD":
             assert roles[wire(r, l)] == f"{r}{l}"
     assert control_target_masks(n) == network_masks(n)
+
+
+@pytest.mark.parametrize("width,n", [(3, None), (8, None), (9, 1), (17, 2), (33, 3)])
+def test_network_n_inverts_the_width(width, n):
+    if n:
+        assert network_n(Circuit(mqg_roles(n))) == n
+    else:  # the width is checked before the labels
+        with pytest.raises(CircuitError, match=f"^{width} qubits does not match any n-network$"):
+            network_n(Circuit(tuple(f"A{i}" for i in range(width))))
+
+
+def test_network_n_rejects_relabelled_network():
+    with pytest.raises(CircuitError, match="^circuit role map does not match the n-network"):
+        network_n(Circuit(mqg_roles(1)[:-1] + ("A3",)))
 
 
 def test_push_layer_disjoint_accepted():
@@ -192,6 +208,10 @@ def test_parse_duplicate_ref_rejected():
         ("MQGC1\nqubits 1\nrole 0 A0", 3),
         (f"{THREE_WIRES}layer\n", 6),
         (f"{THREE_WIRES}layer\ntoff 0 1 2\n\n", 8),
+        # Numbers over Python's int() limit of 4300 digits.
+        pytest.param(f"MQGC1\nqubits {LONG}\n", 2, id="long-qubits"),
+        pytest.param(f"MQGC1\nqubits 1\nrole {LONG} A0\n", 3, id="long-role"),
+        pytest.param(f"{THREE_WIRES}layer\ntoff 0 1 2\nlayer\ntoff 0 {LONG} 2\n", 9, id="long-toff"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line):

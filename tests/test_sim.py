@@ -119,7 +119,7 @@ def test_run_basis_empty_circuit():
 def test_run_basis_width_mismatch():
     # A one-state table must have one column per wire.
     with pytest.raises(CircuitError, match="input width 2 != circuit width 9"):
-        check_stages(network(1), 1, (0, 1))
+        check_stages(network(1), (0, 1))
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -272,7 +272,7 @@ def test_layer_order_within_layer_is_irrelevant():
 def test_trace_blocks_matches_worked_example():
     c = network(1)
     bits = (1, 1, 1, 1, 1, 0, 0, 0, 0)
-    stages = {(st.l, st.k): st for st in check_stages(c, 1, bits)}
+    stages = {(st.l, st.k): st for st in check_stages(c, bits)}
     # Z_1(1) = B1 (A0 C1 + D1) + A1 = 1*(1+1)+1 = 1
     assert stages[(1, 1)].Z == 1
     # A_1(2) = A1 = 1 and Z_1(2) = B1 D1 + A1 = 0
@@ -291,7 +291,7 @@ def test_trace_blocks_matches_oracle_randomized(n):
     A, Z = stage_values(n)
     for _ in range(200):
         bits = tuple(int(b) for b in rng.integers(0, 2, width))
-        stages = check_stages(c, n, bits)
+        stages = check_stages(c, bits)
         assert len(stages) == 4**n
         for st in stages:
             assert st.match
@@ -304,12 +304,13 @@ def test_trace_blocks_rejects_foreign_circuit():
     c = network(1)
     mutated = Circuit(c.roles, c.layers[:-1])
     with pytest.raises(CircuitError):
-        check_stages(mutated, 1, (0,) * 9)
+        check_stages(mutated, (0,) * 9)
     swapped = Circuit(c.roles, c.layers[1:2] + c.layers[:1] + c.layers[2:])
     with pytest.raises(CircuitError):
-        check_stages(swapped, 1, (0,) * 9)
-    with pytest.raises(CircuitError):
-        check_stages(c, 2, (0,) * 9)
+        check_stages(swapped, (0,) * 9)
+    relabelled = Circuit(c.roles[:-1] + ("A3",), c.layers)
+    with pytest.raises(CircuitError, match="role map does not match"):
+        check_stages(relabelled, (0,) * 9)
 
 
 def test_check_stages_exhaustive_matches_one_state_runs():
@@ -317,10 +318,10 @@ def test_check_stages_exhaustive_matches_one_state_runs():
     # one-state run on input s.
     c = network(1)
     columns = wire_columns(c.num_qubits)
-    everything = check_stages(c, 1, columns)
+    everything = check_stages(c, columns)
     assert all(st.match for st in everything)
     for s in range(1 << c.num_qubits):
-        one = check_stages(c, 1, row(columns, s))
+        one = check_stages(c, row(columns, s))
         assert [(st.l, st.k) for st in one] == [(st.l, st.k) for st in everything]
         for big, small in zip(everything, one):
             for field in Stage._fields[2:]:
@@ -332,7 +333,7 @@ def test_check_stages_exhaustive_matches_one_state_runs():
 def test_check_stages_final_stage_is_the_output(n):
     c = network(n)
     outs = output_columns(c)
-    final = [st for st in check_stages(c, n, wire_columns(c.num_qubits)) if st.k == 2**n]
+    final = [st for st in check_stages(c, wire_columns(c.num_qubits)) if st.k == 2**n]
     assert [st.l for st in final] == list(range(1, 2**n + 1))
     for st in final:
         a, d = outs[c.roles.index(f"A{st.l}")], outs[c.roles.index(f"D{st.l}")]
@@ -344,7 +345,7 @@ def test_check_stages_final_stage_is_the_output(n):
 def test_check_stages_symbolic(n):
     # The exact stage check: the layers and the recurrences on ANF columns.
     c = network(n)
-    stages = check_stages(c, n, [Anf.var(i) for i in range(c.num_qubits)])
+    stages = check_stages(c, [Anf.var(i) for i in range(c.num_qubits)])
     assert len(stages) == 4**n
     assert all(st.match for st in stages)
     # The recurrences against the plain recursion, independent of block_stages.
@@ -402,12 +403,19 @@ def test_check_anf_reports_first_bad_wire():
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_mcx_oracle_matches_reference(n):
+    # The one evaluator on each column type: every one-state input, the
+    # all-state truth table and the output ANFs.
     control, target = network_masks(n)
     width = 2 ** (n + 2) + 1
-    columns = mcx_oracle(control, target).columns(width)
-    assert_same_columns(columns, table_columns(mcx_table(control, target, width), width))
-    assert mcx_oracle(control, target).anf(width) == closed_form_outputs(n)
-    assert_same_columns(evaluate_all(closed_form_outputs(n), width), columns)
+    oracle = mcx_oracle(control, target)
+    table = mcx_table(control, target, width)
+    for s in range(1 << width):
+        assert word(oracle.apply([s >> i & 1 for i in range(width)], 1)) == table[s], s
+    columns = oracle.apply(wire_columns(width), (1 << (1 << width)) - 1)
+    assert_same_columns(columns, table_columns(table, width))
+    anfs = oracle.apply([Anf.var(i) for i in range(width)], Anf.one())
+    assert dict(enumerate(anfs)) == closed_form_outputs(n)
+    assert_same_columns(evaluate_all(anfs, width), columns)
 
 
 @pytest.mark.parametrize("width", [1, 2, 3, 4, 11])
@@ -459,14 +467,14 @@ def test_mcx_oracle_rejects_overlapping_masks():
         mcx_oracle(0b011, 0)
 
 
+@pytest.mark.parametrize("kind", ["one-state", "all-state", "anf"])
 @pytest.mark.parametrize("control,target", [(1 << 20, 1), (0b011, 1 << 3)])
-def test_mcx_oracle_columns_reject_masks_wider_than_width(control, target):
+def test_mcx_oracle_apply_rejects_masks_wider_than_width(control, target, kind):
     # A control bit at wire 20 would be ignored and wire 0 flipped everywhere.
+    columns, one = {
+        "one-state": ([1, 1, 1], 1),
+        "all-state": (wire_columns(3), 0xFF),
+        "anf": ([Anf.var(i) for i in range(3)], Anf.one()),
+    }[kind]
     with pytest.raises(CircuitError, match="do not fit 3 wires"):
-        mcx_oracle(control, target).columns(3)
-
-
-@pytest.mark.parametrize("control,target", [(1 << 20, 1), (0b011, 1 << 3)])
-def test_mcx_oracle_anf_rejects_masks_wider_than_width(control, target):
-    with pytest.raises(CircuitError, match="do not fit 3 wires"):
-        mcx_oracle(control, target).anf(3)
+        mcx_oracle(control, target).apply(columns, one)
