@@ -29,6 +29,12 @@ _TOFF = re.compile(f"toff {_NUM} {_NUM} {_NUM}")
 Gate = tuple[int, int, int]
 
 
+def _clip(text: str, limit: int = 60) -> str:
+    """``text``, or its first ``limit`` characters and '...' if it is longer,
+    so an error message never echoes an unbounded token."""
+    return text if len(text) <= limit else text[:limit] + "..."
+
+
 class CircuitError(ValueError):
     """Invalid circuit construction."""
 
@@ -62,12 +68,14 @@ def _check_layer(index: int, layer: tuple[Gate, ...], width: int) -> None:
     for g, gate in enumerate(layer):
         wires = set(gate)
         if len(gate) != 3 or len(wires) != 3:
-            raise LayerError(index, g, f"gate {gate} needs three distinct wires")
+            raise LayerError(index, g, f"gate {_clip(str(gate))} needs three distinct wires")
         if not all(0 <= w < width for w in gate):
-            raise LayerError(index, g, f"gate {gate} has a wire outside 0..{width - 1}")
+            raise LayerError(
+                index, g, f"gate {_clip(str(gate))} has a wire outside 0..{width - 1}"
+            )
         if seen & wires:
             raise LayerDisjointnessError(
-                index, g, f"gate {gate} overlaps wires {sorted(seen & wires)}"
+                index, g, f"gate {_clip(str(gate))} overlaps wires {sorted(seen & wires)}"
             )
         seen |= wires
 
@@ -86,7 +94,7 @@ class Circuit(namedtuple("Circuit", "roles layers")):
     def __new__(cls, roles: tuple[str, ...], layers: tuple[tuple[Gate, ...], ...] = ()):
         for label in roles:
             if not (isinstance(label, str) and _LABEL.fullmatch(label)):
-                raise CircuitError(f"bad qubit label {label!r}")
+                raise CircuitError(f"bad qubit label {_clip(repr(label))}")
         if len(set(roles)) != len(roles):
             raise CircuitError("role map is not a bijection (duplicate labels)")
         first: dict[tuple[Gate, ...], int] = {}
@@ -195,13 +203,14 @@ def parse(text: str) -> Circuit:
         lineno = i + 3
         if lineno > len(lines):
             fail(lineno, "missing role line")
-        match = _ROLE.fullmatch(lines[lineno - 1])
+        line = lines[lineno - 1]
+        match = _ROLE.fullmatch(line)
         if match is None:
-            fail(lineno, f"expected 'role <index> <label>', got {lines[lineno - 1]!r}")
+            fail(lineno, f"expected 'role <index> <label>', got {_clip(repr(line))}")
         if int(match[1]) != i:
-            fail(lineno, f"role index {match[1]} out of order (expected {i})")
+            fail(lineno, f"role index {_clip(match[1])} out of order (expected {i})")
         if _LABEL.fullmatch(match[2]) is None:
-            fail(lineno, f"bad qubit label {match[2]!r}")
+            fail(lineno, f"bad qubit label {_clip(repr(match[2]))}")
         roles.append(match[2])
 
     layers: list[list[Gate]] = []
@@ -214,7 +223,7 @@ def parse(text: str) -> Circuit:
             continue
         match = _TOFF.fullmatch(line)
         if match is None:
-            fail(lineno, f"unexpected line {line!r}")
+            fail(lineno, f"unexpected line {_clip(repr(line))}")
         if not layers:
             fail(lineno, "toff outside a layer block")
         layers[-1].append((int(match[1]), int(match[2]), int(match[3])))

@@ -30,8 +30,8 @@ KIND_TARGET = {1: "a", 2: "b", 3: "c", 4: "d", 5: "e", 6: "f"}
 
 # Largest lattice LatticeConfig takes. The check itself is O(terms), but
 # each report carries a sign_table row per term, so peak RSS grows about
-# 70 kB per row for `nmr-verify --kind all`: 83 MB and 2.0 s at 1024 rows,
-# 292 MB and 8.8 s at 4096 (shared 2-CPU machine, Python 3.11).
+# 70 kB per row for `nmr-verify --kind all`: 84 MB and 1.2-1.6 s at 1024
+# rows, 291 MB and 7-8 s at 4096 (shared 2-CPU machine, Python 3.11.7).
 ROW_LIMIT = 1024
 
 
@@ -77,14 +77,18 @@ class LatticeConfig(namedtuple("LatticeConfig", "rows couplings boundary")):
     def num_spins(self) -> int:
         return 4 * self.rows
 
-    def class_mask(self, cls: str) -> int:
-        """Bit mask of the spins in pulse class cls; A and D split by row parity."""
-        if cls not in PULSE_CLASSES:
-            raise LatticeError(f"unknown pulse class {cls!r}")
-        role = "ABCD".index(cls[0])
-        step = 1 if cls in ("B", "C") else 2
-        first = 1 if cls.endswith("even") else 0  # 0-based row; row 1 is odd
-        return sum(1 << (4 * r + role) for r in range(first, self.rows, step))
+    def pulse_mask(self, classes) -> int:
+        """Bit mask of the spins a pi-pulse on pulse classes flips; A and D
+        split by row parity."""
+        mask = 0
+        for cls in classes:
+            if cls not in PULSE_CLASSES:
+                raise LatticeError(f"unknown pulse class {cls!r}")
+            role = "ABCD".index(cls[0])
+            step = 1 if cls in ("B", "C") else 2
+            first = 1 if cls.endswith("even") else 0  # 0-based row; row 1 is odd
+            mask |= sum(1 << (4 * r + role) for r in range(first, self.rows, step))
+        return mask
 
 
 def seeded_couplings(seed: int) -> tuple[float, ...]:
@@ -107,9 +111,9 @@ class ZZTerm(NamedTuple):
 def build_hamiltonian(cfg: LatticeConfig) -> tuple[ZZTerm, ...]:
     """All ZZ terms; e/f terms wrap to row 1 or are dropped at an open edge.
 
-    Cached per lattice, so the sign algebra, the published target and the
-    term check of one ``verify_identity`` call share one build; the terms
-    are a tuple, so no caller can change another's.
+    Cached per lattice, so the six identities of one ``nmr-verify`` run
+    share one build; the terms are a tuple, so no caller can change
+    another's.
     """
     a, b, c, d, e, f = cfg.couplings
     terms: list[ZZTerm] = []
@@ -130,13 +134,6 @@ def build_hamiltonian(cfg: LatticeConfig) -> tuple[ZZTerm, ...]:
     return tuple(terms)
 
 
-class RefocusSequence(NamedTuple):
-    """U = E P1 E P2 E P3 E P4 with E = free evolution for time t."""
-
-    t: float
-    groups: tuple[frozenset[str], ...]
-
-
 _KIND_GROUPS = {
     1: (frozenset({"D_odd", "D_even"}), frozenset({"B"})),
     2: (frozenset({"A_odd", "A_even"}), frozenset({"B"})),
@@ -150,37 +147,34 @@ _KIND_GROUPS = {
 }
 
 
-def canonical_sequence(kind: int, t: float) -> RefocusSequence:
-    """The published four-segment sequence isolating coupling a..f."""
+def canonical_sequence(kind: int) -> tuple[frozenset[str], ...]:
+    """The published pulses P1..P4 of U = E P1 E P2 E P3 E P4 isolating
+    coupling a..f, where E is free evolution for the run's time t."""
     if kind not in _KIND_GROUPS:
         raise LatticeError(f"sequence kind must be 1..6, got {kind}")
     base, extra = _KIND_GROUPS[kind]
-    return RefocusSequence(t, (base, base | extra) * 2)
+    return (base, base | extra) * 2
 
 
 class EffectiveEvolution(NamedTuple):
     surviving: tuple[ZZTerm, ...]  # coeff holds the accumulated 4t * coupling
     sign_table: tuple[dict, ...]
-    # Nonzero iff the net pulse product is not the identity permutation
-    # (only possible for mutated sequences); the diagonal picture then needs
-    # this residual bit-flip mask on top.
-    net_flips: int
 
 
-def effective_evolution(seq: RefocusSequence, cfg: LatticeConfig) -> EffectiveEvolution:
-    """Exact sign bookkeeping: which ZZ terms survive the four segments.
+def effective_evolution(masks, t: float, terms) -> EffectiveEvolution:
+    """Exact sign bookkeeping: which of ``terms`` survive the four segments.
 
-    Segment s evolves under the Hamiltonian conjugated by the product of
-    the pulses P1..P_{s-1} before it in U = E P1 E P2 E P3 E P4, i.e. Z_i
-    picks up a sign when bit i of the prefix XOR of their masks is set.
+    ``masks`` are the pulse masks of P1..P4. Segment s evolves under the
+    Hamiltonian conjugated by the product of the pulses P1..P_{s-1} before
+    it in U = E P1 E P2 E P3 E P4, i.e. Z_i picks up a sign when bit i of
+    the prefix XOR of their masks is set.
     """
     flips = [0]
-    for classes in seq.groups:
-        flips.append(flips[-1] ^ pulse_operator(classes, cfg)[0])
-    net = flips.pop()
+    for mask in masks[:3]:
+        flips.append(flips[-1] ^ mask)
     surviving = []
     table = []
-    for term in build_hamiltonian(cfg):
+    for term in terms:
         signs = [1 - 2 * (((f >> term.i) ^ (f >> term.j)) & 1) for f in flips]
         total = sum(signs)
         table.append(
@@ -193,31 +187,25 @@ def effective_evolution(seq: RefocusSequence, cfg: LatticeConfig) -> EffectiveEv
             }
         )
         if total:
-            surviving.append(term._replace(coeff=total * seq.t * term.coeff))
-    return EffectiveEvolution(tuple(surviving), tuple(table), net)
-
-
-def pulse_operator(classes: frozenset[str], cfg: LatticeConfig) -> tuple[int, complex]:
-    """(xor mask, phase) of the simultaneous pi-pulse on classes: -i X per spin."""
-    mask = 0
-    for cls in classes:
-        mask |= cfg.class_mask(cls)
-    return mask, complex((-1j) ** mask.bit_count())
+            surviving.append(term._replace(coeff=total * t * term.coeff))
+    return EffectiveEvolution(tuple(surviving), tuple(table))
 
 
 def pair_sign_total(i: int, j: int, masks) -> int | None:
     """u such that the segments' z_i z_j signs sum to u z_i z_j(s) at every s.
 
     Runs the pair's four local states (the values of bits i and j) through
-    ``masks`` in order, flipping by each mask and then adding z_i z_j of
-    the image, as the sequence does to a whole basis state. None if the
-    four totals are not one u times z_i z_j (never for pulses of X's).
+    the pulse masks of P1..P4 in the order U = E P1 E P2 E P3 E P4 applies
+    them (P4 first), flipping by each mask and then adding z_i z_j of the
+    image, as the sequence does to a whole basis state. None if the four
+    totals are not one u times z_i z_j (never for pulses of X's).
     """
+    order = masks[::-1]
     units = set()
     for a0 in (0, 1):
         for b0 in (0, 1):
             a, b, total = a0, b0, 0
-            for mask in masks:
+            for mask in order:
                 a ^= mask >> i & 1
                 b ^= mask >> j & 1
                 total += 1 - 2 * (a ^ b)
@@ -245,12 +233,6 @@ class VerifyReport(NamedTuple):
     sign_table: tuple[dict, ...]
     matches_published: bool
     passed: bool
-
-
-def target_terms(kind: int, cfg: LatticeConfig) -> list[ZZTerm]:
-    """The published right-hand side: only one coupling class, at weight 4."""
-    label = KIND_TARGET[kind]
-    return [t for t in build_hamiltonian(cfg) if t.coupling == label]
 
 
 def verify_identity(
@@ -291,31 +273,31 @@ def verify_identity(
     if not math.isfinite(4 * t * max(abs(c) for c in cfg.couplings)):
         raise LatticeError(f"4 t |coupling| overflows at t={t}, couplings {cfg.couplings}")
 
-    seq = canonical_sequence(kind, t)
-    if groups is not None:
-        seq = seq._replace(groups=tuple(groups))
-        if len(seq.groups) != 4:
-            raise LatticeError(f"a sequence has four pulse groups, got {len(seq.groups)}")
-    eff = effective_evolution(seq, cfg)
-    published = {
-        (t2.i, t2.j): 4.0 * t * t2.coeff for t2 in target_terms(kind, cfg)
-    }
-    surviving = {(t2.i, t2.j): t2.coeff for t2 in eff.surviving}
+    canonical = canonical_sequence(kind)  # refuses a kind outside 1..6
+    groups = canonical if groups is None else tuple(groups)
+    if len(groups) != 4:
+        raise LatticeError(f"a sequence has four pulse groups, got {len(groups)}")
+    masks = [cfg.pulse_mask(g) for g in groups]
+    net = masks[0] ^ masks[1] ^ masks[2] ^ masks[3]
+    # U = E P1 E P2 E P3 E P4 acts right to left: P4 flips first. Each pulse
+    # is -i X per spin, and (-i)^k is reduced mod 4 so the phase is exact.
+    pulse_phase = complex(1.0)
+    for mask in reversed(masks):
+        pulse_phase *= (-1j) ** (mask.bit_count() % 4)
+    terms = build_hamiltonian(cfg)
+
+    eff = effective_evolution(masks, t, terms)
+    label = KIND_TARGET[kind]
+    published = {(x.i, x.j): 4.0 * t * x.coeff for x in terms if x.coupling == label}
+    surviving = {(x.i, x.j): x.coeff for x in eff.surviving}
     matches_published = (
         surviving.keys() == published.keys()
         and all(abs(surviving[k] - published[k]) < 1e-12 for k in surviving)
-        and not eff.net_flips
+        and not net
     )
 
-    # U = E P1 E P2 E P3 E P4 acts right to left: P4 flips first.
-    masks, pulse_phase, net = [], complex(1.0), 0
-    for classes in reversed(seq.groups):
-        mask, phase = pulse_operator(classes, cfg)
-        masks.append(mask)
-        pulse_phase *= phase
-        net ^= mask
     residuals = []  # (pair, r) in Hamiltonian order
-    for term in build_hamiltonian(cfg):
+    for term in terms:
         u = pair_sign_total(term.i, term.j, masks)
         c = surviving.pop((term.i, term.j), 0.0)
         r = math.nan if u is None else u * t * term.coeff - c

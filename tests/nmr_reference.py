@@ -16,7 +16,6 @@ from mqgsim.nmr import (
     _spin_bits,
     build_hamiltonian,
     effective_evolution,
-    pulse_operator,
 )
 
 # Largest lattice the dense numerics will take: about 56 bytes per basis
@@ -52,11 +51,12 @@ def _energy(terms, num_spins: int) -> np.ndarray:
     return energy
 
 
-def sequence_action(seq: RefocusSequence, cfg: LatticeConfig) -> tuple[np.ndarray, np.ndarray]:
+def sequence_action(groups, t: float, cfg) -> tuple[np.ndarray, np.ndarray]:
     """Exact action U|s> = phase[s] |image[s]> of U = E P1 E P2 E P3 E P4.
 
-    A pi-pulse sends |s> to a constant phase times |s ^ mask>, and a free
-    evolution E multiplies |s> by exp(-i t E(s)), so U maps each basis
+    ``groups`` are the pulses P1..P4. A pi-pulse sends |s> to (-i)^k times
+    |s ^ mask>, k the number of spins it flips, and a free evolution E
+    multiplies |s> by exp(-i t E(s)), so U maps each basis
     state to one basis state. Only the pulse masks and the Hamiltonian are
     read, never the sign algebra, so the two stay independent checks.
     """
@@ -66,18 +66,18 @@ def sequence_action(seq: RefocusSequence, cfg: LatticeConfig) -> tuple[np.ndarra
     image = np.arange(energy.size)
     angle = np.zeros(energy.size)
     pulse_phase = complex(1.0)
-    for classes in reversed(seq.groups):
-        mask, phase = pulse_operator(classes, cfg)
+    for classes in reversed(groups):
+        mask = cfg.pulse_mask(classes)
         image ^= mask
         angle += energy[image]
-        pulse_phase *= phase
-    phase = np.exp(-1j * seq.t * angle)
+        pulse_phase *= (-1j) ** (mask.bit_count() % 4)  # exact for any k
+    phase = np.exp(-1j * t * angle)
     phase *= pulse_phase
     return image, phase
 
 
-def dense_verdict(seq, cfg, tol=1e-10):
-    """(passed, counterexample) of the dense check of ``seq`` on ``cfg``.
+def dense_verdict(groups, t, cfg, tol=1e-10):
+    """(passed, counterexample) of the dense check of pulses P1..P4 at time t.
 
     It passes when the sequence fixes every basis state s and gives it the
     phase g d(s) up to ``tol``, where d is the diagonal of
@@ -87,8 +87,10 @@ def dense_verdict(seq, cfg, tol=1e-10):
     """
     n = cfg.num_spins
     with np.errstate(over="ignore", invalid="ignore"):
-        image, phase = sequence_action(seq, cfg)
-        target = np.exp(-1j * _energy(effective_evolution(seq, cfg).surviving, n))
+        image, phase = sequence_action(groups, t, cfg)
+        masks = [cfg.pulse_mask(g) for g in groups]
+        eff = effective_evolution(masks, t, build_hamiltonian(cfg))
+        target = np.exp(-1j * _energy(eff.surviving, n))
         moved = np.flatnonzero(image != np.arange(image.size))
         if moved.size:
             s = int(moved[0])

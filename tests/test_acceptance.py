@@ -9,12 +9,7 @@ import numpy as np
 import pytest
 
 from mqgsim.circuit import Circuit, metrics
-from mqgsim.nmr import (
-    LatticeConfig,
-    canonical_sequence,
-    target_terms,
-    verify_identity,
-)
+from mqgsim.nmr import LatticeConfig, canonical_sequence, verify_identity
 from mqgsim.sim import (
     check_stages,
     mcx_oracle,
@@ -178,10 +173,10 @@ def test_criterion_8_mutation_sensitivity():
 
     rng = np.random.default_rng(77)
     cfg = LatticeConfig(2, tuple(rng.uniform(0.2, 2.0, 6)), "periodic")
-    seq = canonical_sequence(1, 0.7)
-    for gi, group in enumerate(seq.groups):
+    seq = canonical_sequence(1)
+    for gi, group in enumerate(seq):
         for cls in sorted(group):
-            groups = list(seq.groups)
+            groups = list(seq)
             groups[gi] = group - {cls}
             rep = verify_identity(1, cfg, t=0.7, groups=groups)
             ok &= not rep.passed

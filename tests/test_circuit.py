@@ -49,11 +49,15 @@ def test_make_circuit_duplicate_label():
         Circuit((A0, A0))
 
 
-@pytest.mark.parametrize("label", ["E1", "A01", "a1", "A-1", "", "A\u0661", 0, None])
+@pytest.mark.parametrize(
+    "label", ["E1", "A01", "a1", "A-1", "", "A\u0661", 0, None, "B" + "1" * 5000]
+)
 def test_make_circuit_rejects_bad_labels(label):
-    # Construction in code checks the same canonical spelling parse does.
-    with pytest.raises(CircuitError, match="bad qubit label"):
+    # Construction in code checks the same canonical spelling parse does,
+    # and echoes only a prefix of a long label.
+    with pytest.raises(CircuitError, match="bad qubit label") as exc:
         Circuit((A0, label))
+    assert len(str(exc.value)) < 100
 
 
 @pytest.mark.parametrize("n", range(1, 7))

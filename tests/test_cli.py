@@ -11,6 +11,7 @@ import pytest
 
 import mqgsim
 from mqgsim import nmr, synthesis
+from mqgsim.circuit import serialize
 from mqgsim.cli import main
 
 
@@ -189,6 +190,30 @@ def test_verify_parse_error_exit_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "verify", "--circuit", str(bad))
     assert code == 2
     assert "line 6" in err
+
+
+@pytest.mark.parametrize(
+    "line,text,message",
+    [
+        (4, "role " + "1" * 5000 + " B1", "expected 'role <index> <label>', got 'role 111"),
+        (4, "role " + "1" * 4300 + " B1", "role index 111"),
+        (3, "role 0 " + "X" * 5000, "bad qubit label 'XXX"),
+        (13, "toff 0 1 " + "2" * 5000, "unexpected line 'toff 0 1 222"),
+        (13, "toff 0 1 " + "9" * 4300, "layer 0 gate 0: gate (0, 1, 999"),
+        (13, "toff 0 " + "9" * 4300 + " " + "9" * 4300, "layer 0 gate 0: gate (0, 999"),
+    ],
+    ids=["role-line", "role-index", "label", "toff-line", "wire", "repeated-wire"],
+)
+def test_parse_errors_clip_long_tokens(tmp_path, capsys, line, text, message):
+    # Each message keeps its line number and hint but echoes only a prefix.
+    lines = serialize(synthesis.synth_mqg_network(1)).split("\n")
+    lines[line - 1] = text
+    bad = tmp_path / "bad.mqgc"
+    bad.write_text("\n".join(lines))
+    code, stdout, err = run_cli(capsys, "verify", "--circuit", str(bad))
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"error: line {line}: {message}")
+    assert "..." in err and len(err.encode()) < 300
 
 
 def test_verify_over_exhaustive_limit_names_the_flag(tmp_path, capsys):

@@ -17,9 +17,7 @@ from mqgsim.nmr import (
     effective_evolution,
     pair_label,
     pair_sign_total,
-    pulse_operator,
     seeded_couplings,
-    target_terms,
     verify_identity,
 )
 from nmr_reference import _energy, dense_verdict, sequence_action
@@ -41,14 +39,14 @@ def random_state(dim, seed):
     return state / np.linalg.norm(state)
 
 
-def drop_pulse(seq, group, cls):
-    """seq with pulse class cls removed from one of its four groups."""
-    groups = list(seq.groups)
+def drop_pulse(groups, group, cls):
+    """The four pulse groups with pulse class cls removed from one of them."""
+    groups = list(groups)
     groups[group] -= {cls}
-    return seq._replace(groups=tuple(groups))
+    return tuple(groups)
 
 
-def dense_unitary(seq, cfg):
+def dense_unitary(groups, t, cfg):
     """U = E P1 E P2 E P3 E P4 as a dense matrix from explicit Pauli factors.
 
     np.kron puts its first factor on the highest bit, so the factors run
@@ -64,7 +62,7 @@ def dense_unitary(seq, cfg):
         return diag
 
     def pulse(group):
-        mask, _ = pulse_operator(group, cfg)
+        mask = cfg.pulse_mask(group)
         flipped = {k for k in range(n) if mask >> k & 1}
         op = np.eye(1)
         for k in reversed(range(n)):
@@ -72,9 +70,9 @@ def dense_unitary(seq, cfg):
         return (-1j) ** len(flipped) * op
 
     energy = sum(t.coeff * zz(t.i, t.j) for t in build_hamiltonian(cfg))
-    evo = np.diag(np.exp(-1j * seq.t * energy))
+    evo = np.diag(np.exp(-1j * t * energy))
     u = np.eye(1 << n)
-    for group in seq.groups:
+    for group in groups:
         u = u @ evo @ pulse(group)
     return u
 
@@ -118,21 +116,22 @@ def test_lattice_validation():
 
 def test_spin_classes():
     cfg = cfg_random(3)
-    assert cfg.class_mask("A_even") == 1 << spin("A", 2)
-    assert cfg.class_mask("D_even") == 1 << spin("D", 2)
-    assert cfg.class_mask("D_odd") == (1 << spin("D", 1)) | (1 << spin("D", 3))
-    assert cfg.class_mask("A_odd") == (1 << spin("A", 1)) | (1 << spin("A", 3))
-    assert cfg.class_mask("B") == sum(1 << spin("B", l) for l in (1, 2, 3))
-    assert cfg.class_mask("C") == sum(1 << spin("C", l) for l in (1, 2, 3))
+    assert cfg.pulse_mask({"A_even"}) == 1 << spin("A", 2)
+    assert cfg.pulse_mask({"D_even"}) == 1 << spin("D", 2)
+    assert cfg.pulse_mask({"D_odd"}) == (1 << spin("D", 1)) | (1 << spin("D", 3))
+    assert cfg.pulse_mask({"A_odd"}) == (1 << spin("A", 1)) | (1 << spin("A", 3))
+    assert cfg.pulse_mask({"B"}) == sum(1 << spin("B", l) for l in (1, 2, 3))
+    assert cfg.pulse_mask({"C"}) == sum(1 << spin("C", l) for l in (1, 2, 3))
+    assert cfg.pulse_mask(frozenset()) == 0
 
 
 def test_unknown_pulse_class_is_refused():
     cfg = cfg_random(2)
     with pytest.raises(LatticeError, match="unknown pulse class 'E'"):
-        cfg.class_mask("E")
+        cfg.pulse_mask({"E"})
     with pytest.raises(LatticeError, match="unknown pulse class 'E'"):
-        pulse_operator(frozenset({"E"}), cfg)
-    groups = canonical_sequence(1, 0.7).groups[:3] + (frozenset({"B", "E"}),)
+        cfg.pulse_mask(frozenset({"B", "E"}))
+    groups = canonical_sequence(1)[:3] + (frozenset({"B", "E"}),)
     with pytest.raises(LatticeError, match="unknown pulse class 'E'"):
         verify_identity(1, cfg, t=0.7, groups=groups)
 
@@ -142,53 +141,67 @@ def test_pair_labels():
     assert pair_label(spin("D", 12), spin("B", 3)) == "D12-B3"
 
 
-def test_pulse_operator_b_class():
-    cfg = cfg_random(2)
-    mask, phase = pulse_operator(frozenset({"B"}), cfg)
-    assert mask == (1 << spin("B", 1)) | (1 << spin("B", 2))
-    assert phase == (-1j) ** 2
+def one_pulse_phase(cfg, classes):
+    """global_phase of the single pulse P1 on classes at t = 0, as a complex."""
+    groups = (frozenset(classes), frozenset(), frozenset(), frozenset())
+    return complex(*verify_identity(1, cfg, t=0.0, groups=groups).global_phase)
 
 
-def test_pulse_operator_a_odd_single_spin():
+def test_pulse_mask_b_class():
     cfg = cfg_random(2)
-    mask, phase = pulse_operator(frozenset({"A_odd"}), cfg)
-    assert mask == 1 << spin("A", 1)
-    assert phase == -1j
+    assert cfg.pulse_mask({"B"}) == (1 << spin("B", 1)) | (1 << spin("B", 2))
+    assert one_pulse_phase(cfg, {"B"}) == (-1j) ** 2
+
+
+def test_pulse_mask_a_odd_single_spin():
+    cfg = cfg_random(2)
+    assert cfg.pulse_mask({"A_odd"}) == 1 << spin("A", 1)
+    assert one_pulse_phase(cfg, {"A_odd"}) == -1j
 
 
 def test_pulse_twice_is_pure_phase():
     cfg = cfg_random(2)
-    mask, phase = pulse_operator(frozenset({"B", "C"}), cfg)
+    mask = cfg.pulse_mask({"B", "C"})
+    twice = (frozenset({"B", "C"}),) * 2 + (frozenset(),) * 2
     state = random_state(1 << cfg.num_spins, 11)
-    idx = np.arange(1 << cfg.num_spins)
-    once = phase * state[idx ^ mask]
-    twice = phase * once[idx ^ mask]
-    assert np.allclose(twice, (-1) ** bin(mask).count("1") * state, atol=1e-14)
+    image, phase = sequence_action(twice, 0.0, cfg)
+    out = np.zeros_like(state)
+    out[image] = phase * state
+    assert np.allclose(out, (-1) ** bin(mask).count("1") * state, atol=1e-14)
+    rep = verify_identity(1, cfg, t=0.0, groups=twice)
+    assert complex(*rep.global_phase) == (-1) ** bin(mask).count("1")
+
+
+def masks_of(groups, cfg):
+    """The pulse masks of P1..P4."""
+    return [cfg.pulse_mask(g) for g in groups]
 
 
 def test_canonical_sequence_groups():
-    seq = canonical_sequence(1, 0.5)
     base = frozenset({"D_odd", "D_even"})
-    assert seq == (0.5, (base, base | {"B"}, base, base | {"B"}))
-    seq3 = canonical_sequence(3, 0.5)
-    assert seq3.groups[1] == frozenset({"B", "C", "A_even", "D_even"})
+    assert canonical_sequence(1) == (base, base | {"B"}, base, base | {"B"})
+    assert canonical_sequence(3)[1] == frozenset({"B", "C", "A_even", "D_even"})
 
 
 def test_canonical_sequence_invalid_kind():
     with pytest.raises(LatticeError):
-        canonical_sequence(7, 0.5)
+        canonical_sequence(7)
+    with pytest.raises(LatticeError, match="sequence kind must be 1..6, got 7"):
+        verify_identity(7, cfg_random(2), t=0.7, groups=canonical_sequence(1))
 
 
 @pytest.mark.parametrize("kind", range(1, 7))
 def test_net_pulse_flips_are_even(kind):
     cfg = cfg_random(3, "open")
-    eff = effective_evolution(canonical_sequence(kind, 0.3), cfg)
-    assert eff.net_flips == 0
+    net = 0
+    for mask in masks_of(canonical_sequence(kind), cfg):
+        net ^= mask
+    assert net == 0
 
 
 def test_effective_evolution_kind1_sign_table():
     cfg = cfg_random(2)
-    eff = effective_evolution(canonical_sequence(1, 0.5), cfg)
+    eff = effective_evolution(masks_of(canonical_sequence(1), cfg), 0.5, build_hamiltonian(cfg))
     by_coupling = {}
     for row in eff.sign_table:
         by_coupling.setdefault(row["coupling"], []).append(row)
@@ -205,8 +218,11 @@ def test_effective_evolution_kind1_sign_table():
 @pytest.mark.parametrize("boundary", ["periodic", "open"])
 def test_effective_evolution_matches_published(kind, boundary):
     cfg = cfg_random(2, boundary, seed=kind)
-    eff = effective_evolution(canonical_sequence(kind, 0.7), cfg)
-    expected = {(t.i, t.j): 4 * 0.7 * t.coeff for t in target_terms(kind, cfg)}
+    terms = build_hamiltonian(cfg)
+    eff = effective_evolution(masks_of(canonical_sequence(kind), cfg), 0.7, terms)
+    expected = {
+        (t.i, t.j): 4 * 0.7 * t.coeff for t in terms if t.coupling == KIND_TARGET[kind]
+    }
     got = {(t.i, t.j): t.coeff for t in eff.surviving}
     assert got.keys() == expected.keys()
     assert all(abs(got[k] - expected[k]) < 1e-12 for k in got)
@@ -222,7 +238,7 @@ def test_zz_terms_commute_numerically():
 
 def test_apply_sequence_zero_couplings_is_phase():
     cfg = LatticeConfig(2, (0.0,) * 6, "periodic")
-    image, phase = sequence_action(canonical_sequence(1, 0.7), cfg)
+    image, phase = sequence_action(canonical_sequence(1), 0.7, cfg)
     assert np.array_equal(image, np.arange(1 << cfg.num_spins))
     assert np.allclose(phase, phase[0], atol=1e-12)
     assert abs(abs(phase[0]) - 1.0) < 1e-12
@@ -230,17 +246,17 @@ def test_apply_sequence_zero_couplings_is_phase():
 
 def test_apply_sequence_t_zero():
     cfg = cfg_random(2)
-    eff = effective_evolution(canonical_sequence(3, 0.0), cfg)
+    eff = effective_evolution(masks_of(canonical_sequence(3), cfg), 0.0, build_hamiltonian(cfg))
     assert all(t.coeff == 0.0 for t in eff.surviving)
-    _, phase = sequence_action(canonical_sequence(3, 0.0), cfg)
+    _, phase = sequence_action(canonical_sequence(3), 0.0, cfg)
     assert np.all(phase == phase[0])
 
 
 def test_apply_sequence_preserves_norm():
     cfg = cfg_random(3, "open", seed=2)
-    seq = canonical_sequence(4, 1.3)
+    seq = canonical_sequence(4)
     for s in (seq, drop_pulse(seq, 1, "C")):
-        image, phase = sequence_action(s, cfg)
+        image, phase = sequence_action(s, 1.3, cfg)
         assert np.array_equal(np.sort(image), np.arange(1 << cfg.num_spins))
         assert np.max(np.abs(np.abs(phase) - 1.0)) < 1e-12
 
@@ -256,23 +272,23 @@ def test_apply_sequence_dimension_mismatch(monkeypatch):
 @pytest.mark.parametrize("kind,drop", [(k, None) for k in range(1, 7)] + [(1, "B")])
 def test_sequence_action_matches_dense_unitary(kind, drop):
     cfg = cfg_random(2, seed=40)
-    seq = canonical_sequence(kind, 0.7)
+    seq = canonical_sequence(kind)
     if drop:
         seq = drop_pulse(seq, 1, drop)
-    image, phase = sequence_action(seq, cfg)
+    image, phase = sequence_action(seq, 0.7, cfg)
     states = np.arange(1 << cfg.num_spins)
     action = np.zeros((states.size, states.size), dtype=complex)
     action[image, states] = phase
-    assert np.max(np.abs(dense_unitary(seq, cfg) - action)) < 1e-12
+    assert np.max(np.abs(dense_unitary(seq, 0.7, cfg) - action)) < 1e-12
 
 
 def test_moved_counterexample_is_moved_by_dense_unitary():
     cfg = cfg_random(2, seed=40)
-    seq = drop_pulse(canonical_sequence(1, 0.7), 1, "B")
-    rep = verify_identity(1, cfg, t=0.7, groups=seq.groups)
+    seq = drop_pulse(canonical_sequence(1), 1, "B")
+    rep = verify_identity(1, cfg, t=0.7, groups=seq)
     assert not rep.passed and rep.max_deviation is None
     s, image = state_of(rep.counterexample["state"]), state_of(rep.counterexample["image"])
-    u = dense_unitary(seq, cfg)
+    u = dense_unitary(seq, 0.7, cfg)
     assert abs(u[s, s]) < 1e-12
     assert abs(abs(u[image, s]) - 1.0) < 1e-12
 
@@ -282,8 +298,8 @@ def test_wrong_sign_algebra_gives_deviation_counterexample(monkeypatch):
     # shows up as a phase deviation on some basis state.
     real = effective_evolution
 
-    def skewed(seq, cfg):
-        eff = real(seq, cfg)
+    def skewed(masks, t, terms):
+        eff = real(masks, t, terms)
         first = eff.surviving[0]._replace(coeff=eff.surviving[0].coeff + 1e-8)
         return eff._replace(surviving=(first,) + eff.surviving[1:])
 
@@ -321,6 +337,18 @@ def test_verify_identity_global_phase_is_fourth_root():
     assert abs(phase - (-1j) ** 12) < 1e-9
 
 
+@pytest.mark.parametrize("rows,seed", [(34, 1), (64, 0)])
+def test_global_phase_is_exact_on_large_lattices(rows, seed):
+    # From 34 rows a pulse flips more than 100 spins, where (-1j) ** k goes
+    # through an inexact pow and left an imaginary part of about 2e-14.
+    cfg = LatticeConfig(rows, seeded_couplings(seed))
+    for kind in range(1, 7):
+        rep = verify_identity(kind, cfg, t=0.7)
+        assert rep.passed
+        assert complex(*rep.global_phase) in (1, -1, 1j, -1j)
+        assert set(rep.global_phase) <= {-1.0, 0.0, 1.0}
+
+
 def test_verify_identity_deterministic_given_seed():
     cfg = cfg_random(2, seed=1)
     r1 = verify_identity(2, cfg, t=0.7)
@@ -333,7 +361,7 @@ def test_verify_identity_groups_override_only_the_pulses():
     # The groups carry no time: the run and its report are at t = 0.7.
     cfg = cfg_random(2, seed=6)
     for kind in range(1, 7):
-        groups = canonical_sequence(kind, 0.5).groups
+        groups = canonical_sequence(kind)
         plain = verify_identity(kind, cfg, t=0.7)
         assert verify_identity(kind, cfg, t=0.7, groups=groups) == plain
         assert plain.t == 0.7 and plain.passed
@@ -343,14 +371,14 @@ def test_verify_identity_groups_override_only_the_pulses():
 def test_verify_identity_needs_four_groups(count):
     # U = E P1 E P2 E P3 E P4: a dropped or extra segment is refused, not passed.
     cfg = cfg_random(2, seed=6)
-    groups = (canonical_sequence(1, 0.7).groups * 2)[:count]
+    groups = (canonical_sequence(1) * 2)[:count]
     with pytest.raises(LatticeError, match=f"has four pulse groups, got {count}"):
         verify_identity(1, cfg, t=0.7, groups=groups)
 
 
 def test_verify_identity_mutation_fails():
     cfg = cfg_random(2, seed=6)
-    groups = list(canonical_sequence(1, 0.7).groups)
+    groups = list(canonical_sequence(1))
     groups[1] = frozenset({"D_odd", "D_even"})  # drop B from P2
     rep = verify_identity(1, cfg, t=0.7, groups=groups)
     assert not rep.passed
@@ -380,7 +408,7 @@ def single_deletions(seq):
     """Every sequence with one pulse class dropped from one group."""
     return [
         drop_pulse(seq, gi, cls)
-        for gi, group in enumerate(seq.groups)
+        for gi, group in enumerate(seq)
         for cls in sorted(group)
     ]
 
@@ -391,7 +419,7 @@ def paired_deletions(seq):
     return [
         drop_pulse(drop_pulse(seq, first, cls), first + 2, cls)
         for first in (0, 1)
-        for cls in sorted(seq.groups[first])
+        for cls in sorted(seq[first])
     ]
 
 
@@ -403,10 +431,10 @@ def test_local_check_agrees_with_dense_action():
         for boundary in ("periodic", "open"):
             cfg = cfg_random(rows, boundary, seed=rows)
             for kind in range(1, 7):
-                seq = canonical_sequence(kind, 0.7)
+                seq = canonical_sequence(kind)
                 for s in [seq] + single_deletions(seq):
-                    rep = verify_identity(kind, cfg, t=0.7, groups=s.groups)
-                    passed, cex = dense_verdict(s, cfg)
+                    rep = verify_identity(kind, cfg, t=0.7, groups=s)
+                    passed, cex = dense_verdict(s, 0.7, cfg)
                     assert rep.passed == passed
                     moved = cex is not None and "image" in cex
                     assert moved == (rep.max_deviation is None)
@@ -422,10 +450,10 @@ def test_local_check_agrees_on_net_zero_deletions():
     for rows, boundary in ((2, "periodic"), (3, "open")):
         cfg = cfg_random(rows, boundary, seed=9)
         for kind in range(1, 7):
-            for s in paired_deletions(canonical_sequence(kind, 0.7)):
-                rep = verify_identity(kind, cfg, t=0.7, groups=s.groups)
+            for s in paired_deletions(canonical_sequence(kind)):
+                rep = verify_identity(kind, cfg, t=0.7, groups=s)
                 assert rep.passed and rep.max_deviation == 0.0
-                assert dense_verdict(s, cfg) == (True, None)
+                assert dense_verdict(s, 0.7, cfg) == (True, None)
 
 
 @pytest.mark.parametrize("kind", range(1, 7))
@@ -435,11 +463,12 @@ def test_pair_sign_total_matches_sign_algebra(kind):
     # the net pulse mask is 0 (the sign algebra counts flips from the left,
     # the action from the right).
     cfg = cfg_random(3, "periodic")
-    seq = canonical_sequence(kind, 0.7)
+    terms = build_hamiltonian(cfg)
+    seq = canonical_sequence(kind)
     for s in [seq] + paired_deletions(seq):
-        masks = [pulse_operator(g, cfg)[0] for g in reversed(s.groups)]
-        table = effective_evolution(s, cfg).sign_table
-        for term, row in zip(build_hamiltonian(cfg), table):
+        masks = masks_of(s, cfg)
+        table = effective_evolution(masks, 0.7, terms).sign_table
+        for term, row in zip(terms, table):
             u = pair_sign_total(term.i, term.j, masks)
             assert u == sum(row["signs"])
 
@@ -461,17 +490,16 @@ def test_local_check_rejects_residuals_that_cancel_mod_2pi(monkeypatch):
     cfg = cfg_random(2, seed=4)
     a1, c1, d1 = spin("A", 1), spin("C", 1), spin("D", 1)
 
-    def skewed(seq, cfg):
-        eff = real(seq, cfg)
-        terms = [t._replace(coeff=t.coeff - math.pi / 2) if (t.i, t.j) == (a1, c1) else t
-                 for t in eff.surviving]
-        terms += [ZZTerm(c1, d1, -math.pi / 2, "b", 1), ZZTerm(d1, a1, -math.pi / 2, "c", 1)]
-        return eff._replace(surviving=tuple(terms))
+    def skewed(masks, t, terms):
+        eff = real(masks, t, terms)
+        kept = [x._replace(coeff=x.coeff - math.pi / 2) if (x.i, x.j) == (a1, c1) else x
+                for x in eff.surviving]
+        kept += [ZZTerm(c1, d1, -math.pi / 2, "b", 1), ZZTerm(d1, a1, -math.pi / 2, "c", 1)]
+        return eff._replace(surviving=tuple(kept))
 
     monkeypatch.setattr(nmr, "effective_evolution", skewed)
     monkeypatch.setattr(nmr_reference, "effective_evolution", skewed)
-    seq = canonical_sequence(1, 0.7)
-    assert dense_verdict(seq, cfg) == (True, None)
+    assert dense_verdict(canonical_sequence(1), 0.7, cfg) == (True, None)
     rep = verify_identity(1, cfg, t=0.7)
     assert not rep.passed
     assert rep.counterexample == {"pair": "A1-C1", "deviation": pytest.approx(math.pi / 2)}
@@ -484,15 +512,15 @@ def test_surviving_term_off_the_hamiltonian_fails(monkeypatch):
     # A and B share no Hamiltonian term; a surviving A1-B1 term is all residual.
     real = effective_evolution
 
-    def extra(seq, cfg):
-        eff = real(seq, cfg)
+    def extra(masks, t, terms):
+        eff = real(masks, t, terms)
         ghost = ZZTerm(spin("A", 1), spin("B", 1), 1e-3, "a", 1)
         return eff._replace(surviving=eff.surviving + (ghost,))
 
     monkeypatch.setattr(nmr, "effective_evolution", extra)
     monkeypatch.setattr(nmr_reference, "effective_evolution", extra)
     cfg = cfg_random(2, seed=5)
-    assert not dense_verdict(canonical_sequence(2, 0.7), cfg)[0]
+    assert not dense_verdict(canonical_sequence(2), 0.7, cfg)[0]
     rep = verify_identity(2, cfg, t=0.7)
     assert rep.counterexample == {"pair": "A1-B1", "deviation": 1e-3}
     assert rep.max_deviation == 1e-3
