@@ -6,9 +6,11 @@ per-block recurrences for the intermediate values A_l(k), Z_l(k) of the
 layered network, which serve as an independent oracle for the simulator
 backends.
 
-``compose`` substitutes one ANF map into another, so ``sim.run_anf`` can
-square a repeated half of a circuit instead of running its gates again;
-the gate pass itself stays in ``sim._apply_layers``.
+``compose`` substitutes one map of raw monomial sets into another and
+touches only what the inner map moves, so ``sim.run_anf`` can raise a
+repeated block of layers to its power instead of running its gates again;
+the gate pass itself stays in ``sim._apply_layers``. ``Anf.__and__`` and
+``compose`` multiply monomial sets with one helper, ``_product``.
 
 ``block_stages`` is the one recurrence pass. It uses only ``&`` and ``^``
 on its input columns, so the same code runs on bit-sliced int columns
@@ -54,15 +56,7 @@ class Anf:
         return Anf(self.monomials ^ other.monomials)
 
     def __and__(self, other: "Anf") -> "Anf":
-        acc: set[int] = set()
-        for p in self.monomials:
-            for q in other.monomials:
-                m = p | q
-                if m in acc:
-                    acc.remove(m)
-                else:
-                    acc.add(m)
-        return Anf(acc)
+        return Anf(_product(self.monomials, other.monomials))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Anf) and self.monomials == other.monomials
@@ -86,27 +80,55 @@ class Anf:
         return f"Anf({self.to_text()})"
 
 
-def compose(outer: dict[int, Anf], inner: dict[int, Anf]) -> dict[int, Anf]:
+def _product(ps, qs, acc: set[int] | None = None) -> set[int]:
+    """The product of two monomial sets over GF(2): every pairwise OR, with
+    equal products cancelled in pairs; added into ``acc`` when given."""
+    if acc is None:
+        acc = set()
+    for p in ps:
+        for q in qs:
+            m = p | q
+            if m in acc:
+                acc.remove(m)
+            else:
+                acc.add(m)
+    return acc
+
+
+def compose(
+    outer: dict[int, frozenset[int]], inner: dict[int, frozenset[int]]
+) -> dict[int, frozenset[int]]:
     """The map ``outer`` after ``inner``: ``inner[v]`` substituted for each v in ``outer``.
 
-    Both maps are keyed by variable; a variable that ``inner`` omits or
-    maps to itself is fixed. A monomial's fixed variables stay in place as
-    one mask, and only its moved variables are multiplied out, with GF(2)
-    cancellation.
+    A map holds the raw monomial set of each wire it moves; a wire that it
+    omits or maps to itself is fixed. The result maps every wire of either
+    map. Only the variables that ``inner`` moves are substituted: a wire of
+    ``outer`` whose polynomial has none keeps its set, and a monomial's
+    fixed variables stay in place as one mask.
     """
     moved = 0
     for v, poly in inner.items():
-        if poly.monomials != {1 << v}:
+        if len(poly) != 1 or 1 << v not in poly:
             moved |= 1 << v
-    out = {}
+    out = dict(inner)
     for w, poly in outer.items():
-        acc: set[int] = set()
-        for m in poly.monomials:
-            term = Anf((m & ~moved,))
-            for v in _bits(m & moved):
-                term = term & inner[v]
-            acc ^= term.monomials
-        out[w] = Anf(acc)
+        acc = {m for m in poly if not m & moved}
+        if len(acc) == len(poly):
+            out[w] = poly
+            continue
+        for m in poly:
+            hit = m & moved
+            if not hit:
+                continue
+            # The fixed mask times each moved variable's image, lowest
+            # first; the last factor is added straight into acc.
+            term = (m ^ hit,)
+            while hit & (hit - 1):
+                low = hit & -hit
+                term = _product(term, inner[low.bit_length() - 1])
+                hit ^= low
+            _product(term, inner[hit.bit_length() - 1], acc)
+        out[w] = frozenset(acc)
     return out
 
 

@@ -1,8 +1,10 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mqgsim import gf2
+from mqgsim import gf2, sim
 from mqgsim.circuit import Circuit, CircuitError, mqg_roles
 from mqgsim.gf2 import Anf
 from mqgsim.sim import (
@@ -192,12 +194,21 @@ def test_run_anf_squares_the_network(n, monkeypatch):
 
 
 def test_run_anf_matches_reference_on_every_layer_deletion(monkeypatch):
+    # Each mutant is at most two runs of the layer pair around the gap, so
+    # its compositions grow with n, not with the 2^(n+2) layers.
     calls = count_compositions(monkeypatch)
-    c = network(2)
-    for drop in range(len(c.layers)):
-        mutant = Circuit(c.roles, c.layers[:drop] + c.layers[drop + 1 :])
-        assert run_anf(mutant) == anf_outputs(mutant), drop
-    assert calls == []  # an odd number of layers never squares
+    for n in (2, 5):
+        c = network(n)
+        for drop in range(len(c.layers)):
+            calls.clear()
+            mutant = Circuit(c.roles, c.layers[:drop] + c.layers[drop + 1 :])
+            assert run_anf(mutant) == anf_outputs(mutant), (n, drop)
+            assert len(calls) <= 3 * n, (n, drop)
+
+
+def raw(anf_map):
+    """An ``Anf`` map as ``gf2.compose`` takes it: raw monomial sets."""
+    return {w: poly.monomials for w, poly in anf_map.items()}
 
 
 @given(st.data())
@@ -207,27 +218,72 @@ def test_compose_of_run_anf_is_run_anf_of_the_sequence(data):
     first = Circuit(roles(width), data.draw(random_layers(width)))
     then = Circuit(roles(width), data.draw(random_layers(width)))
     both = Circuit(roles(width), first.layers + then.layers)
-    assert gf2.compose(run_anf(then), run_anf(first)) == run_anf(both) == anf_outputs(both)
+    composed = gf2.compose(raw(run_anf(then)), raw(run_anf(first)))
+    assert {w: Anf(poly) for w, poly in composed.items()} == run_anf(both) == anf_outputs(both)
 
 
 @pytest.mark.parametrize("m", range(3, 10))
-def test_run_anf_matches_reference_on_v_chain(m):
+def test_run_anf_matches_reference_on_v_chain(m, monkeypatch):
+    # The V-chain is one block twice over; a block repeated only twice
+    # keeps the plain gate pass.
+    calls = count_compositions(monkeypatch)
     c = synth_baseline_dirty(m)
     assert run_anf(c) == anf_outputs(c)
+    assert calls == []
+
+
+def test_runs_finds_no_run_in_a_cube_free_sequence_in_linear_time(monkeypatch):
+    # Two layers with the same first gate in Thue-Morse order: no block
+    # repeats three times back to back, so nothing is powered. Finding that
+    # tries one period per position; following every later equal layer
+    # instead would take about L^2 / 6 steps, some 4.5e7 here.
+    a, b = ((0, 1, 2), (3, 4, 5)), ((0, 1, 2), (3, 4, 6))
+    order = tuple((a, b)[bin(k).count("1") & 1] for k in range(1 << 14))
+    start = time.process_time()
+    assert list(sim._runs(order)) == [(0, len(order), 1)]
+    assert time.process_time() - start < 1.0
+    calls = count_compositions(monkeypatch)
+    c = Circuit(roles(7), order[:256])
+    assert run_anf(c) == anf_outputs(c)
+    assert calls == []
+
+
+def test_runs_treat_equal_layer_objects_as_one_layer():
+    # A parsed file holds a new tuple for every layer; equal ones still repeat.
+    layers = network(2).layers
+    copies = tuple(tuple(list(layer)) for layer in layers)
+    assert copies[0] is not copies[2]
+    assert list(sim._runs(copies)) == list(sim._runs(layers)) == [(0, 2, len(layers) // 2)]
+
+
+@pytest.mark.parametrize("suffix", [(), (((3, 4, 0),),)], ids=["end", "suffix"])
+@pytest.mark.parametrize("k", range(1, 10))
+def test_run_anf_powers_a_run_between_gate_passes(k, suffix, monkeypatch):
+    # The layer pair k times after a prefix layer, at the end or before a
+    # suffix layer: a run of k >= 3 takes bit_length - 1 squarings,
+    # popcount - 1 odd steps and one composition into the prefix's
+    # columns; k <= 2 takes the gate pass.
+    calls = count_compositions(monkeypatch)
+    c = network(2)
+    padded = Circuit(c.roles, (((0, 1, 2),),) + c.layers[:2] * k + suffix)
+    assert run_anf(padded) == anf_outputs(padded)
+    powered = k.bit_length() - 1 + bin(k).count("1") if k >= 3 else 0
+    assert len(calls) == powered
 
 
 @given(st.data())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 def test_run_anf_matches_reference_on_repeated_blocks(data):
-    # A random block 2^j times over, so squaring composes maps whose
-    # monomials have several moved variables and cancel. A prefix or suffix
-    # makes the halves differ, so the sequence takes the gate pass instead.
+    # A random block 1..9 times over, so binary powering takes odd steps and
+    # composes maps whose monomials have several moved variables and
+    # cancel. A prefix, a suffix or both put the run between gate passes.
     width = data.draw(st.integers(3, 10))
-    layers = data.draw(random_layers(width, 1, 4)) * 2 ** data.draw(st.integers(0, 3))
-    affix = data.draw(st.sampled_from(["none", "prefix", "suffix"]))
-    if affix != "none":
-        extra = data.draw(random_layers(width, 1, 2))
-        layers = extra + layers if affix == "prefix" else layers + extra
+    layers = data.draw(random_layers(width, 1, 4)) * data.draw(st.integers(1, 9))
+    affix = data.draw(st.sampled_from(["none", "prefix", "suffix", "both"]))
+    if affix in ("prefix", "both"):
+        layers = data.draw(random_layers(width, 1, 2)) + layers
+    if affix in ("suffix", "both"):
+        layers = layers + data.draw(random_layers(width, 1, 2))
     c = Circuit(roles(width), layers)
     assert run_anf(c) == anf_outputs(c)
 
