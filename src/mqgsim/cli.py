@@ -4,7 +4,9 @@ Exit codes: 0 success/pass, 1 verification failure, 2 usage or parse error.
 All randomness flows from --seed, so identical invocations produce
 byte-identical JSON. Each subcommand imports the modules it runs when it
 runs, so a circuit command never loads the NMR module and nmr-verify
-never loads the circuit stack.
+never loads the circuit stack. The file format (``mqgc``) loads only for
+``verify --circuit`` and ``synth``, the stage check (``stages``) only for
+``trace`` and the V-chain (``baseline``) only for ``compare``.
 """
 from __future__ import annotations
 
@@ -54,7 +56,8 @@ def _report(report) -> dict:
 
 
 def cmd_synth(args) -> int:
-    from .circuit import metrics, serialize
+    from .circuit import metrics
+    from .mqgc import serialize
     from .synthesis import synth_mqg_network
 
     circuit = synth_mqg_network(args.n)
@@ -69,10 +72,12 @@ def cmd_synth(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .circuit import control_target_masks, network_n, parse
+    from .circuit import control_target_masks, network_n
     from .sim import EXHAUSTIVE_LIMIT, check_anf, mcx_oracle, run_all, run_anf
 
     if args.circuit:
+        from .mqgc import parse
+
         circuit = parse(Path(args.circuit).read_text(encoding="utf-8"))
     else:
         from .synthesis import synth_mqg_network
@@ -92,7 +97,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    from .synthesis import table1_compare
+    from .baseline import table1_compare
 
     if args.n < 1:
         raise ValueError(f"need n >= 1, got {args.n}")
@@ -122,7 +127,7 @@ def cmd_trace(args) -> int:
     if n > TRACE_LIMIT:
         raise ValueError(f"n={n} is over the trace limit of {TRACE_LIMIT} ({4**n} stage records)")
     from .circuit import CircuitError
-    from .sim import check_stages
+    from .stages import check_stages
     from .synthesis import synth_mqg_network
 
     circuit = synth_mqg_network(n)

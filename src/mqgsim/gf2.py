@@ -1,25 +1,17 @@
 """Exact GF(2) algebra over wire variables.
 
 Anf is a multilinear polynomial stored as a set of monomials, each an int
-bit mask with bit v set for flat wire index v. The module also holds the
-per-block recurrences for the intermediate values A_l(k), Z_l(k) of the
-layered network, which serve as an independent oracle for the simulator
-backends.
+bit mask with bit v set for flat wire index v. The module imports
+nothing from the package; the block recurrences that run on ``Anf``
+columns live in ``stages``.
 
 ``compose`` substitutes one map of raw monomial sets into another and
 touches only what the inner map moves, so ``sim.run_anf`` can raise a
 repeated block of layers to its power instead of running its gates again;
 the gate pass itself stays in ``sim._apply_layers``. ``Anf.__and__`` and
 ``compose`` multiply monomial sets with one helper, ``_product``.
-
-``block_stages`` is the one recurrence pass. It uses only ``&`` and ``^``
-on its input columns, so the same code runs on bit-sliced int columns
-(one state or all 2^M) and on ``Anf.var`` columns, where it gives every
-A_l(k) and Z_l(k) as an ANF.
 """
 from __future__ import annotations
-
-from .circuit import network_rows, wire
 
 
 def _bits(mask: int) -> tuple[int, ...]:
@@ -130,25 +122,3 @@ def compose(
             _product(term, inner[hit.bit_length() - 1], acc)
         out[w] = frozenset(acc)
     return out
-
-
-def block_stages(n: int, columns):
-    """Yield the lists (A, Z) with A[l] = A_l(k) and Z[l] = Z_l(k), for k = 1..2^n.
-
-    ``columns`` holds one value per wire of the n-network, by flat index.
-    Stage 0 is the input, A_l(0) = a_l, and row 0 is a_0 at every stage.
-    Z_l(1) = B_l (A_{l-1} C_l + D_l) + A_l is the k >= 2 step
-    Z_l(k) = B_l C_l A_{l-1}(k-1) + Z_l(k-1) from Z_l(0) := B_l D_l + A_l.
-    """
-    rows = network_rows(n)
-
-    def col(role: str, l: int):
-        return columns[wire(role, l)]
-
-    A = [col("A", l) for l in range(2**n + 1)]
-    bc = [None] + [col("B", l) & col("C", l) for l in rows]
-    Z = [A[0]] + [col("B", l) & col("D", l) ^ A[l] for l in rows]
-    for _ in range(2**n):
-        Z = [A[0]] + [bc[l] & A[l - 1] ^ Z[l] for l in rows]
-        A = [A[0]] + [bc[l] & Z[l - 1] ^ A[l] for l in rows]
-        yield A, Z

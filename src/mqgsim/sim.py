@@ -13,16 +13,14 @@ gate pass on the running ANF columns. The single reference is
 target mask, whose one evaluator ``McxOracle.apply`` also runs on columns
 of any kind. The exhaustive check applies it to the identity truth table
 and the symbolic check to ``Anf.var`` columns; both return an EquivReport.
-
-``check_stages`` runs the n-network's layers beside ``gf2.block_stages``,
-the one recurrence pass, on the same columns of any kind, and compares
-the two at every block-stage boundary.
+The stage check that runs the gate pass beside the block recurrences is
+in ``stages``.
 """
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
-from .circuit import Circuit, CircuitError, Gate, network_n
+from .circuit import Circuit, CircuitError, Gate
 
 if TYPE_CHECKING:
     from .gf2 import Anf
@@ -282,64 +280,3 @@ def check_anf(
                 },
             )
     return EquivReport(mode="symbolic", states_checked=1 << width, passed=True)
-
-
-class Stage(NamedTuple):
-    """Row l at block stage k: the simulated a_l (A), a_l at the stage's
-    midpoint (Z) and d_l (D), each beside its recurrence value. D is only
-    pinned at the final stage k = 2^n, where d_l is restored to its input;
-    elsewhere ``D_oracle`` is None."""
-
-    l: int
-    k: int
-    A: int | Anf
-    A_oracle: int | Anf
-    Z: int | Anf
-    Z_oracle: int | Anf
-    D: int | Anf
-    D_oracle: int | Anf | None
-
-    @property
-    def match(self) -> bool:
-        return (
-            self.A == self.A_oracle
-            and self.Z == self.Z_oracle
-            and (self.D_oracle is None or self.D == self.D_oracle)
-        )
-
-
-def check_stages(circuit: Circuit, columns: Sequence) -> list[Stage]:
-    """Run the n-network two layers at a time beside the block recurrences.
-
-    Z_l(k) is a_l after layer 4k-2; A_l(k) and D_l(k) are a_l and d_l after
-    layer 4k. ``columns`` are the input, one per wire: one-state or
-    all-state int columns, or ``Anf.var`` columns. The circuit must be the
-    canonical n-network: its layout (``network_n``) and its alternating
-    type-1/type-2 layers are checked before the run.
-    """
-    from .gf2 import block_stages
-    from .synthesis import layer_templates
-
-    n = network_n(circuit)
-    type1, type2 = layer_templates(n)
-    if circuit.layers != (type1, type2) * 2 ** (n + 1):
-        raise CircuitError("circuit is not the block-structured n-network")
-    if len(columns) != circuit.num_qubits:
-        raise CircuitError(
-            f"input width {len(columns)} != circuit width {circuit.num_qubits}"
-        )
-    # Row l's type-2 gate is T(b_l, d_l -> a_l).
-    rows = [(l, d, a) for l, (_, d, a) in enumerate(type2, start=1)]
-    last = 2**n
-    wires = list(columns)
-    stages: list[Stage] = []
-    for k, (A, Z) in enumerate(block_stages(n, columns), start=1):
-        _apply_layers(wires, circuit.layers[4 * k - 4 : 4 * k - 2])
-        z = [wires[a] for _, _, a in rows]
-        _apply_layers(wires, circuit.layers[4 * k - 2 : 4 * k])
-        stages += [
-            Stage(l, k, wires[a], A[l], z[l - 1], Z[l], wires[d],
-                  columns[d] if k == last else None)
-            for l, d, a in rows
-        ]
-    return stages

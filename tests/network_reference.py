@@ -4,7 +4,7 @@ The masks and wire indices are written from the documented flat wire
 order (a_0 at index 0, then b_l, c_l, d_l, a_l at 4l-3 .. 4l for rows
 l = 1..2^n), not read from the package, the truth tables are plain
 per-state loops, and the output ANFs are a plain per-gate loop. The stage
-values A_l(k), Z_l(k) are read off ``gf2.block_stages`` and re-derived by
+values A_l(k), Z_l(k) are read off ``stages.block_stages`` and re-derived by
 the plain recursion, and ``appendix_identities`` states the paper's
 stage-boundary identities on them.
 """
@@ -12,7 +12,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from mqgsim.gf2 import Anf, block_stages
+from mqgsim.gf2 import Anf
+from mqgsim.stages import block_stages
 
 
 def wire(role, l):

@@ -8,22 +8,18 @@ import time
 import numpy as np
 import pytest
 
+from mqgsim.baseline import synth_baseline_dirty, table1_compare
 from mqgsim.circuit import Circuit, metrics
 from mqgsim.nmr import LatticeConfig, canonical_sequence, verify_identity
 from mqgsim.sim import (
-    check_stages,
     mcx_oracle,
     output_columns,
     run_all,
     run_anf,
     wire_columns,
 )
-from mqgsim.synthesis import (
-    pin_mask,
-    synth_baseline_dirty,
-    synth_mqg_network,
-    table1_compare,
-)
+from mqgsim.stages import check_stages
+from mqgsim.synthesis import pin_mask, synth_mqg_network
 from network_reference import (
     appendix_identities,
     closed_form_outputs,

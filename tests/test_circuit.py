@@ -4,16 +4,14 @@ from hypothesis import given, strategies as st
 from mqgsim.circuit import (
     Circuit,
     CircuitError,
-    CircuitParseError,
     LayerDisjointnessError,
     control_target_masks,
     metrics,
     mqg_roles,
     network_n,
-    parse,
-    serialize,
     wire,
 )
+from mqgsim.mqgc import CircuitParseError, parse, serialize
 from mqgsim.sim import output_columns
 from mqgsim.synthesis import synth_mqg_network
 from network_reference import network_masks, table_words

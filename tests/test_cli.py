@@ -11,7 +11,7 @@ import pytest
 
 import mqgsim
 from mqgsim import nmr, synthesis
-from mqgsim.circuit import serialize
+from mqgsim.mqgc import serialize
 from mqgsim.cli import main
 
 
@@ -153,6 +153,36 @@ def test_nmr_verify_in_fresh_interpreter():
         "mqgsim.gf2",
         "mqgsim.synthesis",
     }
+
+
+def package_modules(*argv):
+    """The mqgsim modules that one passing command loads in a fresh interpreter."""
+    codes, modules = probe(list(argv))
+    assert codes == [0]
+    return {m for m in modules if m.startswith("mqgsim.")}
+
+
+def test_each_command_loads_only_its_own_modules(tmp_path):
+    # The file format, the stage check and the V-chain each load only for
+    # the commands that run them.
+    mqgc, stages, baseline = "mqgsim.mqgc", "mqgsim.stages", "mqgsim.baseline"
+    n1 = tmp_path / "n1.mqgc"
+    assert package_modules("synth", "--n", "1", "--out", str(n1)) & {mqgc, stages, baseline} == {mqgc}
+    assert not package_modules("verify", "--n", "3") & {mqgc, stages, baseline}
+    exhaustive = package_modules("verify", "--circuit", str(n1))
+    assert mqgc in exhaustive
+    assert not exhaustive & {"mqgsim.gf2", stages, baseline, "mqgsim.synthesis"}
+    trace = package_modules("trace", "--n", "1", "--input", "111110000")
+    assert stages in trace
+    assert not trace & {"mqgsim.gf2", mqgc, baseline}
+    compare = package_modules("compare", "--n", "2", "--all-up-to")
+    assert compare & {mqgc, stages, baseline} == {baseline}
+    nmr_verify = package_modules("nmr-verify", "--kind", "1", "--rows", "2", "--seed", "5")
+    assert not nmr_verify & {mqgc, stages, baseline}
+    # The ANF algebra stands alone.
+    done = child("-c", "import json, sys, mqgsim.gf2; print(json.dumps(sorted(sys.modules)))")
+    loaded = {m for m in json.loads(done.stdout) if m.startswith("mqgsim")}
+    assert loaded == {"mqgsim", "mqgsim.gf2"}
 
 
 def test_verify_exhaustive_pass(tmp_path, capsys):

@@ -5,20 +5,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mqgsim import gf2, sim
+from mqgsim.baseline import synth_baseline_dirty
 from mqgsim.circuit import Circuit, CircuitError, mqg_roles
 from mqgsim.gf2 import Anf
 from mqgsim.sim import (
-    Stage,
     bitstring,
     check_anf,
-    check_stages,
     mcx_oracle,
     output_columns,
     run_all,
     run_anf,
     wire_columns,
 )
-from mqgsim.synthesis import synth_baseline_dirty, synth_mqg_network
+from mqgsim.stages import Stage, check_stages
+from mqgsim.synthesis import synth_mqg_network
 from network_reference import (
     anf_outputs,
     closed_form_outputs,

@@ -1,15 +1,10 @@
 import pytest
 
+from mqgsim.baseline import synth_baseline_dirty, table1_compare
 from mqgsim.circuit import CircuitError, control_target_masks, metrics, mqg_roles
-from mqgsim.gf2 import block_stages
 from mqgsim.sim import output_columns
-from mqgsim.synthesis import (
-    layer_templates,
-    pin_mask,
-    synth_baseline_dirty,
-    synth_mqg_network,
-    table1_compare,
-)
+from mqgsim.stages import block_stages
+from mqgsim.synthesis import layer_templates, pin_mask, synth_mqg_network
 from network_reference import mcx_table, network_masks, table_columns, table_words
 
 
