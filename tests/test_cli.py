@@ -11,6 +11,7 @@ import pytest
 
 import mqgsim
 from mqgsim import nmr, synthesis
+from mqgsim.circuit import mqg_roles
 from mqgsim.mqgc import serialize
 from mqgsim.cli import main
 
@@ -192,7 +193,7 @@ def test_verify_exhaustive_pass(tmp_path, capsys):
     assert code == 0
     payload = json.loads(stdout)
     assert payload["report"]["mode"] == "exhaustive"
-    assert payload["report"]["states_checked"] == 512
+    assert payload["report"]["qubits"] == 9
     assert payload["report"]["pass"] is True
     assert payload["version"]
     assert payload["config"]["mode"] == "auto"
@@ -262,7 +263,7 @@ def test_verify_symbolic_n3(capsys):
     assert payload["report"]["mode"] == "symbolic"
     assert payload["report"]["pass"] is True
     # Equal ANFs prove all 2^33 inputs of the 33-wire network.
-    assert payload["report"]["states_checked"] == 1 << 33
+    assert payload["report"]["qubits"] == 33
 
 
 def test_verify_report_shape_same_in_both_modes(tmp_path, capsys):
@@ -277,9 +278,24 @@ def test_verify_report_shape_same_in_both_modes(tmp_path, capsys):
         assert code == 1
         reports[mode] = json.loads(stdout)["report"]
     for mode, rep in reports.items():
-        assert set(rep) == {"mode", "states_checked", "pass", "counterexample"}
-        assert (rep["mode"], rep["states_checked"], rep["pass"]) == (mode, 512, False)
+        assert set(rep) == {"mode", "qubits", "pass", "counterexample"}
+        assert (rep["mode"], rep["qubits"], rep["pass"]) == (mode, 9, False)
     assert set(reports["symbolic"]["counterexample"]) == {"wire", "expected", "actual"}
+
+
+def test_verify_n12_layout_reports_its_verdict(tmp_path, capsys):
+    # 16385 wires and no layers: the target wire A4096 never flips. 2^M has
+    # more than the 4300 digits json.dumps prints, so the report holds M.
+    roles = mqg_roles(12)
+    lines = ["MQGC1", f"qubits {len(roles)}"]
+    lines += [f"role {i} {label}" for i, label in enumerate(roles)]
+    bare = tmp_path / "n12-bare.mqgc"
+    bare.write_text("\n".join(lines) + "\n")
+    code, stdout, err = run_cli(capsys, "verify", "--circuit", str(bare))
+    assert (code, err) == (1, "")
+    report = json.loads(stdout)["report"]
+    assert (report["mode"], report["qubits"], report["pass"]) == ("symbolic", 16385, False)
+    assert report["counterexample"]["wire"] == "A4096"
 
 
 def test_compare_rows(capsys):
@@ -324,22 +340,25 @@ def test_nmr_verify_rows_3(capsys):
 @pytest.mark.parametrize(
     "argv,digest",
     [
-        ("--kind all --rows 2 --seed 7",
-         "dbb1d7dc9d3efdf967703d5c4f1c07ad2ff17562a23ed6428ba5817394868dd5"),
-        # The odd ring: kinds 3 and 6 report matches_published false.
-        ("--kind all --rows 3 --seed 7",
-         "35deb0e0fd66663e9bb6f10ca781a096b116df9e36d8468592a7587172fa8b4e"),
-        ("--kind all --rows 3 --boundary open --seed 7",
-         "38d3cdd186212cf11fb0dc0b9ac29679a651a09ea5edffa734f405cdcaa5a37a"),
-        ("--kind 4 --rows 2 --couplings 1 0 -1 2 3 4 --t 0",
-         "10ee0ee47ec237d49bb5150e557fe1daaefeb7e8091731fbb1cd1c80f62ad939"),
-        ("--kind all --rows 4 --t 1e5",
-         "4c057c9e571f1b252eec3d72e8fa7d7a2de1bf5c8cde9f23fc3411f896081e5d"),
+        pytest.param(argv, digest, id=argv)
+        for argv, digest in [
+            ("--kind all --rows 2 --seed 7",
+             "512f9229cce3460abb61c83a39a274d07945582e2b51f9ede112ab48961147e4"),
+            # The odd ring: kinds 3 and 6 report matches_published false.
+            ("--kind all --rows 3 --seed 7",
+             "0d8fa520eadfd5b722bc89dd4de8b4ead364a1042286928ac5c40c9a273abd53"),
+            ("--kind all --rows 3 --boundary open --seed 7",
+             "cc37ba1573c7c6b9179d6a3178fd6542bf00b3d1438bffa078f0bb7d89e2eb1e"),
+            ("--kind 4 --rows 2 --couplings 1 0 -1 2 3 4 --t 0",
+             "3cec950e69bb6fdc863e3504b0b8d3cb6574e572ae119635a1bfeb755dff96bc"),
+            ("--kind all --rows 4 --t 1e5",
+             "80069b071d816e9b85d2868d2f315f7c9751bef66e9677cd5dd063624c664a59"),
+        ]
     ],
 )
 def test_nmr_verify_report_bytes_are_pinned(capsys, argv, digest):
-    # sha256 of the whole stdout, recorded before the spins of mqgsim.nmr
-    # became integer indices; any change to the report's bytes shows here.
+    # sha256 of the whole stdout; any change to the report's bytes shows
+    # here. Each case's id is its command line, so a re-pin keeps the id.
     code, stdout, err = run_cli(capsys, "nmr-verify", *argv.split())
     assert (code, err) == (0, "")
     assert hashlib.sha256(stdout.encode()).hexdigest() == digest
@@ -541,6 +560,21 @@ def test_verify_n9_scale(tmp_path):
     assert json.loads(out.read_text())["report"]["pass"] is True
     assert wall_s < 20
     assert peak_kib < 100 * 1024
+
+
+def test_nmr_verify_1024_rows_peak_memory(tmp_path):
+    # The report counts the terms instead of listing them, so its size
+    # does not grow with --rows.
+    out = tmp_path / "n.json"
+    code, peak_kib, _ = peak_run(
+        "nmr-verify", "--kind", "all", "--rows", "1024", "--out", str(out)
+    )
+    assert code == 0
+    report = json.loads(out.read_text())["report"]
+    assert report["pass"] is True
+    assert [i["terms_checked"] for i in report["identities"]] == [6 * 1024] * 6
+    assert out.stat().st_size < 8 * 1024
+    assert peak_kib < 30 * 1024
 
 
 # Runs main() on argv in a fresh interpreter whose address space is capped

@@ -201,17 +201,13 @@ def test_net_pulse_flips_are_even(kind):
 
 def test_effective_evolution_kind1_sign_table():
     cfg = cfg_random(2)
-    eff = effective_evolution(masks_of(canonical_sequence(1), cfg), 0.5, build_hamiltonian(cfg))
-    by_coupling = {}
-    for row in eff.sign_table:
-        by_coupling.setdefault(row["coupling"], []).append(row)
-    assert all(r["signs"] == [1, 1, 1, 1] for r in by_coupling["a"])
-    for label in "bcdef":
-        assert all(sum(r["signs"]) == 0 for r in by_coupling[label])
-    surviving_labels = {t.coupling for t in eff.surviving}
-    assert surviving_labels == {"a"}
+    terms = build_hamiltonian(cfg)
+    survivors = effective_evolution(masks_of(canonical_sequence(1), cfg), 0.5, terms)
+    # Every a term keeps all four signs +1 (a sign sum of 4); the b..f terms
+    # sum to 0 and drop out.
+    assert [(t.i, t.j) for t in survivors] == [(t.i, t.j) for t in terms if t.coupling == "a"]
     a = cfg.couplings[0]
-    assert all(abs(t.coeff - 4 * 0.5 * a) < 1e-15 for t in eff.surviving)
+    assert all(t.coeff == 4 * 0.5 * a for t in survivors)
 
 
 @pytest.mark.parametrize("kind", range(1, 7))
@@ -219,11 +215,11 @@ def test_effective_evolution_kind1_sign_table():
 def test_effective_evolution_matches_published(kind, boundary):
     cfg = cfg_random(2, boundary, seed=kind)
     terms = build_hamiltonian(cfg)
-    eff = effective_evolution(masks_of(canonical_sequence(kind), cfg), 0.7, terms)
+    survivors = effective_evolution(masks_of(canonical_sequence(kind), cfg), 0.7, terms)
     expected = {
         (t.i, t.j): 4 * 0.7 * t.coeff for t in terms if t.coupling == KIND_TARGET[kind]
     }
-    got = {(t.i, t.j): t.coeff for t in eff.surviving}
+    got = {(t.i, t.j): t.coeff for t in survivors}
     assert got.keys() == expected.keys()
     assert all(abs(got[k] - expected[k]) < 1e-12 for k in got)
 
@@ -246,8 +242,8 @@ def test_apply_sequence_zero_couplings_is_phase():
 
 def test_apply_sequence_t_zero():
     cfg = cfg_random(2)
-    eff = effective_evolution(masks_of(canonical_sequence(3), cfg), 0.0, build_hamiltonian(cfg))
-    assert all(t.coeff == 0.0 for t in eff.surviving)
+    masks = masks_of(canonical_sequence(3), cfg)
+    assert all(t.coeff == 0.0 for t in effective_evolution(masks, 0.0, build_hamiltonian(cfg)))
     _, phase = sequence_action(canonical_sequence(3), 0.0, cfg)
     assert np.all(phase == phase[0])
 
@@ -299,9 +295,9 @@ def test_wrong_sign_algebra_gives_deviation_counterexample(monkeypatch):
     real = effective_evolution
 
     def skewed(masks, t, terms):
-        eff = real(masks, t, terms)
-        first = eff.surviving[0]._replace(coeff=eff.surviving[0].coeff + 1e-8)
-        return eff._replace(surviving=(first,) + eff.surviving[1:])
+        survivors = real(masks, t, terms)
+        first = survivors[0]._replace(coeff=survivors[0].coeff + 1e-8)
+        return (first,) + survivors[1:]
 
     monkeypatch.setattr(nmr, "effective_evolution", skewed)
     rep = verify_identity(1, cfg_random(2, seed=8), t=0.7)
@@ -461,16 +457,17 @@ def test_pair_sign_total_matches_sign_algebra(kind):
     # Two independent readings of the same pulses: the local states' sign
     # total and the sign algebra's per-segment signs. They agree whenever
     # the net pulse mask is 0 (the sign algebra counts flips from the left,
-    # the action from the right).
-    cfg = cfg_random(3, "periodic")
+    # the action from the right). With t = 1 and unit couplings a
+    # survivor's coeff is its sign sum, and a term that drops out sums to 0.
+    cfg = LatticeConfig(3, (1.0,) * 6)
     terms = build_hamiltonian(cfg)
     seq = canonical_sequence(kind)
     for s in [seq] + paired_deletions(seq):
         masks = masks_of(s, cfg)
-        table = effective_evolution(masks, 0.7, terms).sign_table
-        for term, row in zip(terms, table):
+        sums = {(x.i, x.j): x.coeff for x in effective_evolution(masks, 1.0, terms)}
+        for term in terms:
             u = pair_sign_total(term.i, term.j, masks)
-            assert u == sum(row["signs"])
+            assert u == sums.get((term.i, term.j), 0)
 
 
 @pytest.mark.parametrize("kind", range(1, 7))
@@ -491,11 +488,10 @@ def test_local_check_rejects_residuals_that_cancel_mod_2pi(monkeypatch):
     a1, c1, d1 = spin("A", 1), spin("C", 1), spin("D", 1)
 
     def skewed(masks, t, terms):
-        eff = real(masks, t, terms)
         kept = [x._replace(coeff=x.coeff - math.pi / 2) if (x.i, x.j) == (a1, c1) else x
-                for x in eff.surviving]
+                for x in real(masks, t, terms)]
         kept += [ZZTerm(c1, d1, -math.pi / 2, "b", 1), ZZTerm(d1, a1, -math.pi / 2, "c", 1)]
-        return eff._replace(surviving=tuple(kept))
+        return tuple(kept)
 
     monkeypatch.setattr(nmr, "effective_evolution", skewed)
     monkeypatch.setattr(nmr_reference, "effective_evolution", skewed)
@@ -513,9 +509,8 @@ def test_surviving_term_off_the_hamiltonian_fails(monkeypatch):
     real = effective_evolution
 
     def extra(masks, t, terms):
-        eff = real(masks, t, terms)
         ghost = ZZTerm(spin("A", 1), spin("B", 1), 1e-3, "a", 1)
-        return eff._replace(surviving=eff.surviving + (ghost,))
+        return real(masks, t, terms) + (ghost,)
 
     monkeypatch.setattr(nmr, "effective_evolution", extra)
     monkeypatch.setattr(nmr_reference, "effective_evolution", extra)

@@ -128,7 +128,7 @@ def test_run_basis_width_mismatch():
 def test_run_all_matches_closed_form(n):
     rep = run_all(network(n), oracle(n))
     assert rep.passed
-    assert rep.states_checked == 1 << (2 ** (n + 2) + 1)
+    assert rep.qubits == 2 ** (n + 2) + 1
 
 
 def test_run_all_mutation_gives_counterexample():
@@ -434,11 +434,11 @@ def test_backend_agreement_n1():
 
 
 def test_equiv_report_json_schema():
-    # One report shape for both modes; symbolic counts every input it proves.
+    # One report shape for both modes; both prove every input of the width.
     exhaustive = run_all(network(1), oracle(1))._asdict()
     assert exhaustive == {
         "mode": "exhaustive",
-        "states_checked": 512,
+        "qubits": 9,
         "passed": True,
         "counterexample": None,
     }
@@ -452,7 +452,7 @@ def test_check_anf_reports_first_bad_wire():
     mutated = Circuit(c.roles, c.layers[:-1])
     rep = check_anf(run_anf(mutated), oracle(1), c.roles)
     assert not rep.passed
-    assert rep.states_checked == 512
+    assert rep.qubits == 9
     assert set(rep.counterexample) == {"wire", "expected", "actual"}
     assert rep.counterexample["wire"] in c.roles
 
