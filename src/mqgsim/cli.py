@@ -116,7 +116,7 @@ def cmd_nmr_verify(args) -> int:
     else:
         couplings = seeded_couplings(args.seed)
     cfg = LatticeConfig(rows=args.rows, couplings=couplings, boundary=args.boundary)
-    reports = [_report(verify_identity(kind, cfg, t=args.t, tol=args.tol)) for kind in kinds]
+    reports = [_report(verify_identity(kind, cfg, t=args.t)) for kind in kinds]
     all_pass = all(r["pass"] for r in reports)
     _emit(_payload(args, "nmr-verify", {"pass": all_pass, "identities": reports}), args)
     return EXIT_OK if all_pass else EXIT_FAIL
@@ -126,16 +126,13 @@ def cmd_trace(args) -> int:
     n = args.n
     if n > TRACE_LIMIT:
         raise ValueError(f"n={n} is over the trace limit of {TRACE_LIMIT} ({4**n} stage records)")
-    from .circuit import CircuitError
+    from .circuit import CircuitError, mqg_roles
     from .stages import check_stages
-    from .synthesis import synth_mqg_network
 
-    circuit = synth_mqg_network(n)
-    if len(args.input) != circuit.num_qubits or set(args.input) - {"0", "1"}:
-        raise CircuitError(
-            f"--input must be {circuit.num_qubits} chars of 0/1 in flat-index order"
-        )
-    stages = check_stages(circuit, [int(ch) for ch in args.input])
+    width = len(mqg_roles(n))  # refuses n < 1 before the width
+    if len(args.input) != width or set(args.input) - {"0", "1"}:
+        raise CircuitError(f"--input must be {width} chars of 0/1 in flat-index order")
+    stages = check_stages(n, [int(ch) for ch in args.input])
     all_match = all(st.match for st in stages)
     if args.format == "json":
         blocks = [dict(st._asdict(), match=st.match) for st in stages]
@@ -197,7 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--t", type=float, default=0.7)
     p.add_argument("--trials", type=int, default=20, help="no effect; every term is checked")
-    p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=cmd_nmr_verify)

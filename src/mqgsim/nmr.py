@@ -9,8 +9,8 @@ commute exactly; a refocusing sequence interleaves four evolution segments
 with simultaneous pi-pulses on whole frequency classes (a pulse is the
 frozenset of class names it flips), cancelling every coupling except one,
 which survives at 4t. The sign algebra and the term-by-term check of the
-sequence's action are both exact integer bookkeeping, so the check
-tolerance is pure floating-point slack, and neither needs the 2^N basis
+sequence's action are both exact integer bookkeeping, so a true identity
+leaves every residual exactly 0.0, and neither needs the 2^N basis
 states. A report counts the terms rather than listing them.
 """
 from __future__ import annotations
@@ -104,7 +104,6 @@ class ZZTerm(NamedTuple):
     j: int
     coeff: float
     coupling: str  # which of a..f this term carries
-    row: int
 
 
 @lru_cache(maxsize=4)
@@ -119,18 +118,18 @@ def build_hamiltonian(cfg: LatticeConfig) -> tuple[ZZTerm, ...]:
     terms: list[ZZTerm] = []
     for l in range(1, cfg.rows + 1):
         A, B, C, D = range(4 * l - 4, 4 * l)
-        terms.append(ZZTerm(A, C, a, "a", l))
-        terms.append(ZZTerm(C, D, b, "b", l))
-        terms.append(ZZTerm(D, A, c, "c", l))
-        terms.append(ZZTerm(D, B, d, "d", l))
+        terms.append(ZZTerm(A, C, a, "a"))
+        terms.append(ZZTerm(C, D, b, "b"))
+        terms.append(ZZTerm(D, A, c, "c"))
+        terms.append(ZZTerm(D, B, d, "d"))
         if l < cfg.rows:
             nxt = 4 * l
         elif cfg.boundary == "periodic":
             nxt = 0
         else:
             continue
-        terms.append(ZZTerm(B, nxt, e, "e", l))
-        terms.append(ZZTerm(nxt, D, f, "f", l))
+        terms.append(ZZTerm(B, nxt, e, "e"))
+        terms.append(ZZTerm(nxt, D, f, "f"))
     return tuple(terms)
 
 
@@ -224,7 +223,6 @@ def verify_identity(
     kind: int,
     cfg: LatticeConfig,
     t: float,
-    tol: float = 1e-10,
     groups: tuple[frozenset[str], ...] | None = None,
 ) -> VerifyReport:
     """Check the sequence's exact action term by term against the sign algebra.
@@ -235,10 +233,10 @@ def verify_identity(
     sign total over the four segments (``pair_sign_total``, read from the
     pulse masks and never from the sign algebra). The sequence passes when
     its net pulse mask is 0 and every term's residual r = u t coeff - c is
-    within ``tol``, where c is the term's surviving coefficient from
+    exactly 0.0, where c is the term's surviving coefficient from
     ``effective_evolution`` (0 if it does not survive); both sides are
     computed in the same operand order, so a true identity gives r = 0.0
-    exactly at any t. ``max_deviation`` is max |r| (None when the net mask
+    at any t. ``max_deviation`` is max |r| (None when the net mask
     moves basis states), and ``global_phase`` is the pulses' phase times
     exp(-i sum r). ``counterexample`` is None on a pass; otherwise state 0
     and its ``image`` if the net mask is not 0 (as for a mutated sequence),
@@ -252,8 +250,6 @@ def verify_identity(
     """
     if not 0.0 <= t < math.inf:
         raise LatticeError(f"evolution time t must be finite and >= 0, got {t}")
-    if not 0.0 <= tol < math.inf:
-        raise LatticeError(f"tolerance must be finite and >= 0, got {tol}")
     # Residuals compute (u t) coeff with |u| <= 4, so this bounds every term.
     if not math.isfinite(4 * t * max(abs(c) for c in cfg.couplings)):
         raise LatticeError(f"4 t |coupling| overflows at t={t}, couplings {cfg.couplings}")
@@ -273,25 +269,20 @@ def verify_identity(
 
     survivors = effective_evolution(masks, t, terms)
     label = KIND_TARGET[kind]
-    published = {(x.i, x.j): 4.0 * t * x.coeff for x in terms if x.coupling == label}
+    # 4 * t * coeff, in effective_evolution's operand order.
+    published = {(x.i, x.j): 4 * t * x.coeff for x in terms if x.coupling == label}
     surviving = {(x.i, x.j): x.coeff for x in survivors}
-    matches_published = (
-        surviving.keys() == published.keys()
-        and all(abs(surviving[k] - published[k]) < 1e-12 for k in surviving)
-        and not net
-    )
+    matches_published = surviving == published and not net
 
-    residuals = []  # (pair, r) in Hamiltonian order
+    residuals = []  # (i, j, r) in Hamiltonian order
     for term in terms:
         u = pair_sign_total(term.i, term.j, masks)
         c = surviving.pop((term.i, term.j), 0.0)
-        r = math.nan if u is None else u * t * term.coeff - c
-        residuals.append((pair_label(term.i, term.j), r))
+        residuals.append((term.i, term.j, math.nan if u is None else u * t * term.coeff - c))
     # A surviving term on no Hamiltonian pair is residual in full.
-    residuals += [(pair_label(i, j), -c) for (i, j), c in surviving.items()]
+    residuals += [(i, j, -c) for (i, j), c in surviving.items()]
 
-    deviations = [abs(r) for _, r in residuals]
-    total = sum(r for _, r in residuals)
+    total = sum(r for _, _, r in residuals)
     g = complex(math.nan, math.nan)  # an overflowed residual leaves no phase
     if math.isfinite(total):
         g = pulse_phase * cmath.exp(-1j * total)
@@ -300,10 +291,11 @@ def verify_identity(
         n = cfg.num_spins
         counterexample = {"state": _spin_bits(0, n), "image": _spin_bits(net, n)}
     else:
+        deviations = [abs(r) for _, _, r in residuals]
         max_deviation = math.nan if any(map(math.isnan, deviations)) else max(deviations)
-        for (pair, _), d in zip(residuals, deviations):
-            if not d <= tol:  # NaN fails too
-                counterexample = {"pair": pair, "deviation": d}
+        for (i, j, _), d in zip(residuals, deviations):
+            if d != 0.0:  # NaN fails too
+                counterexample = {"pair": pair_label(i, j), "deviation": d}
                 break
     return VerifyReport(
         kind=kind,

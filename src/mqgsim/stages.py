@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .circuit import Circuit, CircuitError, network_n, network_rows, wire
+from .circuit import CircuitError, network_rows, wire
 from .sim import _apply_layers
 from .synthesis import layer_templates
 
@@ -64,32 +64,26 @@ class Stage(NamedTuple):
         )
 
 
-def check_stages(circuit: Circuit, columns: Sequence) -> list[Stage]:
-    """Run the n-network two layers at a time beside the block recurrences.
+def check_stages(n: int, columns: Sequence) -> list[Stage]:
+    """Run the n-network's layer pair (``layer_templates(n)``) beside the block recurrences.
 
     Z_l(k) is a_l after layer 4k-2; A_l(k) and D_l(k) are a_l and d_l after
     layer 4k. ``columns`` are the input, one per wire: one-state or
-    all-state int columns, or ``Anf.var`` columns. The circuit must be the
-    canonical n-network: its layout (``network_n``) and its alternating
-    type-1/type-2 layers are checked before the run.
+    all-state int columns, or ``Anf.var`` columns.
     """
-    n = network_n(circuit)
-    type1, type2 = layer_templates(n)
-    if circuit.layers != (type1, type2) * 2 ** (n + 1):
-        raise CircuitError("circuit is not the block-structured n-network")
-    if len(columns) != circuit.num_qubits:
-        raise CircuitError(
-            f"input width {len(columns)} != circuit width {circuit.num_qubits}"
-        )
+    pair = type1, type2 = layer_templates(n)
+    width = 2 ** (n + 2) + 1
+    if len(columns) != width:
+        raise CircuitError(f"input width {len(columns)} != circuit width {width}")
     # Row l's type-2 gate is T(b_l, d_l -> a_l).
     rows = [(l, d, a) for l, (_, d, a) in enumerate(type2, start=1)]
     last = 2**n
     wires = list(columns)
     stages: list[Stage] = []
     for k, (A, Z) in enumerate(block_stages(n, columns), start=1):
-        _apply_layers(wires, circuit.layers[4 * k - 4 : 4 * k - 2])
+        _apply_layers(wires, pair)
         z = [wires[a] for _, _, a in rows]
-        _apply_layers(wires, circuit.layers[4 * k - 2 : 4 * k])
+        _apply_layers(wires, pair)
         stages += [
             Stage(l, k, wires[a], A[l], z[l - 1], Z[l], wires[d],
                   columns[d] if k == last else None)

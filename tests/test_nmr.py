@@ -11,6 +11,7 @@ from mqgsim.nmr import (
     KIND_TARGET,
     LatticeConfig,
     LatticeError,
+    PULSE_CLASSES,
     ZZTerm,
     build_hamiltonian,
     canonical_sequence,
@@ -289,22 +290,50 @@ def test_moved_counterexample_is_moved_by_dense_unitary():
     assert abs(abs(u[image, s]) - 1.0) < 1e-12
 
 
-def test_wrong_sign_algebra_gives_deviation_counterexample(monkeypatch):
+@pytest.mark.parametrize("skew", [1e-8, 1e-12])
+def test_wrong_sign_algebra_gives_deviation_counterexample(monkeypatch, skew):
     # The numerics never read the sign algebra, so a wrong surviving term
-    # shows up as a phase deviation on some basis state.
+    # shows up as a nonzero residual, however small.
     real = effective_evolution
 
     def skewed(masks, t, terms):
         survivors = real(masks, t, terms)
-        first = survivors[0]._replace(coeff=survivors[0].coeff + 1e-8)
+        first = survivors[0]._replace(coeff=survivors[0].coeff + skew)
         return (first,) + survivors[1:]
 
     monkeypatch.setattr(nmr, "effective_evolution", skewed)
     rep = verify_identity(1, cfg_random(2, seed=8), t=0.7)
     assert not rep.passed
-    assert 1e-9 < rep.max_deviation < 1e-7
-    assert rep.counterexample["deviation"] > 1e-10
-    assert "image" not in rep.counterexample
+    assert skew / 10 < rep.max_deviation < skew * 10
+    assert rep.counterexample == {"pair": "A1-C1", "deviation": rep.max_deviation}
+    assert not rep.matches_published
+
+
+def test_every_residual_is_exactly_zero():
+    # The verdict has no slack: on a sequence whose net pulse mask is 0 both
+    # sides compute u t coeff in the same operand order, so every residual
+    # is exactly 0.0 at any t, on any lattice and for any such pulses.
+    rng = random.Random(23)
+
+    def pulse():
+        return frozenset(c for c in PULSE_CLASSES if rng.random() < 0.5)
+
+    for rows in range(2, 6):
+        for boundary in ("periodic", "open"):
+            cfg = cfg_random(rows, boundary, seed=rows)
+            for kind in range(1, 7):
+                sequences = [canonical_sequence(kind)]
+                for _ in range(3):
+                    f = (pulse(), pulse(), pulse())
+                    sequences += [(*f, f[0] ^ f[1] ^ f[2]), (*f, pulse())]
+                for groups in sequences:
+                    net = 0
+                    for g in groups:
+                        net ^= cfg.pulse_mask(g)
+                    for t in (0.0, 1e-300, 0.7, 1e5):
+                        rep = verify_identity(kind, cfg, t, groups=groups)
+                        assert rep.max_deviation == (None if net else 0.0)
+                        assert rep.passed == (net == 0)
 
 
 def test_verify_identity_overflow_fails():
@@ -316,11 +345,11 @@ def test_verify_identity_overflow_fails():
 @pytest.mark.parametrize("kind", range(1, 7))
 def test_verify_identity_passes(kind):
     cfg = cfg_random(2, seed=31)
-    rep = verify_identity(kind, cfg, t=0.7, tol=1e-10)
+    rep = verify_identity(kind, cfg, t=0.7)
     assert rep.passed
     assert rep.matches_published
     assert rep.counterexample is None
-    assert rep.max_deviation <= 1e-10
+    assert rep.max_deviation == 0.0
     assert abs(abs(complex(*rep.global_phase)) - 1.0) < 1e-9
 
 
@@ -490,7 +519,7 @@ def test_local_check_rejects_residuals_that_cancel_mod_2pi(monkeypatch):
     def skewed(masks, t, terms):
         kept = [x._replace(coeff=x.coeff - math.pi / 2) if (x.i, x.j) == (a1, c1) else x
                 for x in real(masks, t, terms)]
-        kept += [ZZTerm(c1, d1, -math.pi / 2, "b", 1), ZZTerm(d1, a1, -math.pi / 2, "c", 1)]
+        kept += [ZZTerm(c1, d1, -math.pi / 2, "b"), ZZTerm(d1, a1, -math.pi / 2, "c")]
         return tuple(kept)
 
     monkeypatch.setattr(nmr, "effective_evolution", skewed)
@@ -509,7 +538,7 @@ def test_surviving_term_off_the_hamiltonian_fails(monkeypatch):
     real = effective_evolution
 
     def extra(masks, t, terms):
-        ghost = ZZTerm(spin("A", 1), spin("B", 1), 1e-3, "a", 1)
+        ghost = ZZTerm(spin("A", 1), spin("B", 1), 1e-3, "a")
         return real(masks, t, terms) + (ghost,)
 
     monkeypatch.setattr(nmr, "effective_evolution", extra)

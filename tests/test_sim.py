@@ -121,7 +121,7 @@ def test_run_basis_empty_circuit():
 def test_run_basis_width_mismatch():
     # A one-state table must have one column per wire.
     with pytest.raises(CircuitError, match="input width 2 != circuit width 9"):
-        check_stages(network(1), (0, 1))
+        check_stages(1, (0, 1))
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -326,9 +326,8 @@ def test_layer_order_within_layer_is_irrelevant():
 
 
 def test_trace_blocks_matches_worked_example():
-    c = network(1)
     bits = (1, 1, 1, 1, 1, 0, 0, 0, 0)
-    stages = {(st.l, st.k): st for st in check_stages(c, bits)}
+    stages = {(st.l, st.k): st for st in check_stages(1, bits)}
     # Z_1(1) = B1 (A0 C1 + D1) + A1 = 1*(1+1)+1 = 1
     assert stages[(1, 1)].Z == 1
     # A_1(2) = A1 = 1 and Z_1(2) = B1 D1 + A1 = 0
@@ -347,7 +346,7 @@ def test_trace_blocks_matches_oracle_randomized(n):
     A, Z = stage_values(n)
     for _ in range(200):
         bits = tuple(int(b) for b in rng.integers(0, 2, width))
-        stages = check_stages(c, bits)
+        stages = check_stages(n, bits)
         assert len(stages) == 4**n
         for st in stages:
             assert st.match
@@ -356,28 +355,15 @@ def test_trace_blocks_matches_oracle_randomized(n):
             assert st.Z_oracle == evaluate(Z(st.l, st.k), bits)
 
 
-def test_trace_blocks_rejects_foreign_circuit():
-    c = network(1)
-    mutated = Circuit(c.roles, c.layers[:-1])
-    with pytest.raises(CircuitError):
-        check_stages(mutated, (0,) * 9)
-    swapped = Circuit(c.roles, c.layers[1:2] + c.layers[:1] + c.layers[2:])
-    with pytest.raises(CircuitError):
-        check_stages(swapped, (0,) * 9)
-    relabelled = Circuit(c.roles[:-1] + ("A3",), c.layers)
-    with pytest.raises(CircuitError, match="role map does not match"):
-        check_stages(relabelled, (0,) * 9)
-
-
 def test_check_stages_exhaustive_matches_one_state_runs():
     # Bit s of every field of the all-state run is that field of the
     # one-state run on input s.
     c = network(1)
     columns = wire_columns(c.num_qubits)
-    everything = check_stages(c, columns)
+    everything = check_stages(1, columns)
     assert all(st.match for st in everything)
     for s in range(1 << c.num_qubits):
-        one = check_stages(c, row(columns, s))
+        one = check_stages(1, row(columns, s))
         assert [(st.l, st.k) for st in one] == [(st.l, st.k) for st in everything]
         for big, small in zip(everything, one):
             for field in Stage._fields[2:]:
@@ -389,7 +375,7 @@ def test_check_stages_exhaustive_matches_one_state_runs():
 def test_check_stages_final_stage_is_the_output(n):
     c = network(n)
     outs = output_columns(c)
-    final = [st for st in check_stages(c, wire_columns(c.num_qubits)) if st.k == 2**n]
+    final = [st for st in check_stages(n, wire_columns(c.num_qubits)) if st.k == 2**n]
     assert [st.l for st in final] == list(range(1, 2**n + 1))
     for st in final:
         a, d = outs[c.roles.index(f"A{st.l}")], outs[c.roles.index(f"D{st.l}")]
@@ -401,7 +387,7 @@ def test_check_stages_final_stage_is_the_output(n):
 def test_check_stages_symbolic(n):
     # The exact stage check: the layers and the recurrences on ANF columns.
     c = network(n)
-    stages = check_stages(c, [Anf.var(i) for i in range(c.num_qubits)])
+    stages = check_stages(n, [Anf.var(i) for i in range(c.num_qubits)])
     assert len(stages) == 4**n
     assert all(st.match for st in stages)
     # The recurrences against the plain recursion, independent of block_stages.
