@@ -103,6 +103,7 @@ def test_synth_invalid_n(capsys):
         ["synth", "--n", "3"],
         ["verify", "--n", "3"],
         ["compare", "--n", "3"],
+        ["verify", "--n", "3", "--mode", "symbolic"],
     ],
 )
 def test_over_network_limit_exit_2(capsys, monkeypatch, argv):
