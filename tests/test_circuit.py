@@ -43,18 +43,24 @@ def test_make_circuit_missing_index():
 
 
 def test_make_circuit_duplicate_label():
-    with pytest.raises(CircuitError):
-        Circuit((A0, A0))
+    # The role map must be a bijection; the error points at the last role line.
+    text = serialize(synth_mqg_network(2)).replace("role 1 B1\n", "role 1 A0\n")
+    with pytest.raises(
+        CircuitParseError, match="role map is not a bijection \\(duplicate labels\\)"
+    ) as exc:
+        parse(text)
+    assert exc.value.line == 19
 
 
 @pytest.mark.parametrize(
     "label", ["E1", "A01", "a1", "A-1", "", "A\u0661", 0, None, "B" + "1" * 5000]
 )
 def test_make_circuit_rejects_bad_labels(label):
-    # Construction in code checks the same canonical spelling parse does,
-    # and echoes only a prefix of a long label.
-    with pytest.raises(CircuitError, match="bad qubit label") as exc:
-        Circuit((A0, label))
+    # A role line takes only the canonical spelling, and the error echoes
+    # only a prefix of a long label.
+    with pytest.raises(CircuitParseError, match="bad qubit label") as exc:
+        parse(f"MQGC1\nqubits 2\nrole 0 A0\nrole 1 {label}\n")
+    assert exc.value.line == 4
     assert len(str(exc.value)) < 100
 
 
