@@ -9,13 +9,6 @@ from .circuit import Circuit, CircuitError, metrics
 from .synthesis import synth_mqg_network
 
 
-def baseline_roles(m_controls: int) -> tuple[str, ...]:
-    """Wire labels of the V-chain: controls, then ancillas, then target."""
-    controls = tuple(f"C{i}" for i in range(1, m_controls + 1))
-    ancillas = tuple(f"D{i}" for i in range(1, m_controls - 1))
-    return controls + ancillas + ("A0",)
-
-
 def synth_baseline_dirty(m_controls: int) -> Circuit:
     """Two-pass V-chain computing t ^= c_1...c_m with dirty ancillas.
 
@@ -25,7 +18,7 @@ def synth_baseline_dirty(m_controls: int) -> Circuit:
     if m_controls < 3:
         raise CircuitError(f"need at least 3 controls, got {m_controls}")
     m = m_controls
-    # Flat indices in baseline_roles order: c_i = i-1, x_i = m+i-1, t = 2m-2.
+    # Flat indices: controls c_i = i-1, ancillas x_i = m+i-1, target t = 2m-2.
     c = {i: i - 1 for i in range(1, m + 1)}
     x = {i: m + i - 1 for i in range(1, m - 1)}
     t = 2 * m - 2
@@ -34,7 +27,7 @@ def synth_baseline_dirty(m_controls: int) -> Circuit:
     down += [(c[i + 2], x[i], x[i + 1]) for i in range(m - 3, 0, -1)]
     peak = (c[1], c[2], x[1])
     gates = down + [peak] + down[::-1] + down[1:] + [peak] + down[:0:-1]
-    return Circuit(baseline_roles(m), tuple((g,) for g in gates))
+    return Circuit(2 * m - 1, tuple((g,) for g in gates))
 
 
 class ComparisonRow(NamedTuple):

@@ -1,25 +1,19 @@
 """Reversible circuits built from layers of disjoint Toffoli gates.
 
-A wire is its flat index. A circuit is a tuple of wire labels (``A0``,
-``B1``, ...), one per flat index, plus a tuple of layers. Each layer is a
-tuple of ``(c1, c2, t)`` flat wire indices, one per Toffoli, and the gates
-of one layer touch disjoint wires, so they commute and can be thought of
-as executing simultaneously. Basis states are plain integers with bit 0
-corresponding to flat wire index 0 (little-endian). ``wire`` is the
-n-network's one layout formula from role and row to flat index; labels
-are only for the edges: the MQGC1 file format (``mqgc``) and text output.
+A wire is its flat index. A circuit is its width plus a tuple of layers.
+Each layer is a tuple of ``(c1, c2, t)`` flat wire indices, one per
+Toffoli, and the gates of one layer touch disjoint wires, so they commute
+and can be thought of as executing simultaneously. Basis states are plain
+integers with bit 0 corresponding to flat wire index 0 (little-endian).
+``wire`` is the n-network's one layout formula from role and row to flat
+index; wire labels (``mqg_roles``) are only for the edges: the MQGC1 file
+format (``mqgc``), ``network_n`` and text output.
 """
 from __future__ import annotations
 
-import re
 from collections import namedtuple
 from functools import lru_cache
 from typing import NamedTuple
-
-# ASCII decimal, no sign, no leading zero: the only spelling mqgc.serialize emits.
-# At most 4300 digits, the most Python's int() converts by default.
-_NUM = "(0|[1-9][0-9]{0,4299})"
-_LABEL = re.compile(f"([ABCD]){_NUM}")
 
 Gate = tuple[int, int, int]
 
@@ -44,10 +38,6 @@ class LayerError(CircuitError):
         self.gate = gate
 
 
-class LayerDisjointnessError(LayerError):
-    """Two gates in one layer share a wire."""
-
-
 def _check_layer(index: int, layer: tuple[Gate, ...], width: int) -> None:
     if not layer:
         raise LayerError(index, None, "empty layer")
@@ -61,43 +51,33 @@ def _check_layer(index: int, layer: tuple[Gate, ...], width: int) -> None:
                 index, g, f"gate {_clip(str(gate))} has a wire outside 0..{width - 1}"
             )
         if seen & wires:
-            raise LayerDisjointnessError(
+            raise LayerError(
                 index, g, f"gate {_clip(str(gate))} overlaps wires {sorted(seen & wires)}"
             )
         seen |= wires
 
 
-class Circuit(namedtuple("Circuit", "roles layers")):
-    """Immutable circuit: label per flat index, plus layers of (c1, c2, t) gates.
+class Circuit(namedtuple("Circuit", "num_qubits layers")):
+    """Immutable circuit: a width, plus layers of (c1, c2, t) gates.
 
-    Construction checks that the labels are canonical and distinct and that
-    every layer is non-empty, in range, and made of disjoint three-wire
-    gates. Equal layers are checked once, so a network that repeats a few
-    layer templates costs a hash per layer.
+    Construction checks that every layer is non-empty, in range, and made
+    of disjoint three-wire gates. Equal layers are checked once, so a
+    network that repeats a few layer templates costs a hash per layer.
     """
 
     __slots__ = ()
 
-    def __new__(cls, roles: tuple[str, ...], layers: tuple[tuple[Gate, ...], ...] = ()):
-        for label in roles:
-            if not (isinstance(label, str) and _LABEL.fullmatch(label)):
-                raise CircuitError(f"bad qubit label {_clip(repr(label))}")
-        if len(set(roles)) != len(roles):
-            raise CircuitError("role map is not a bijection (duplicate labels)")
+    def __new__(cls, num_qubits: int, layers: tuple[tuple[Gate, ...], ...] = ()):
         first: dict[tuple[Gate, ...], int] = {}
         for i, layer in enumerate(layers):
             first.setdefault(layer, i)
         for layer, i in first.items():
-            _check_layer(i, layer, len(roles))
-        return super().__new__(cls, roles, layers)
+            _check_layer(i, layer, num_qubits)
+        return super().__new__(cls, num_qubits, layers)
 
     @classmethod
     def _make(cls, fields) -> "Circuit":
         return cls(*fields)  # so _replace validates too
-
-    @property
-    def num_qubits(self) -> int:
-        return len(self.roles)
 
 
 class Metrics(NamedTuple):
@@ -133,14 +113,14 @@ def mqg_roles(n: int) -> tuple[str, ...]:
     return ("A0",) + tuple(f"{r}{l}" for l in network_rows(n) for r in "BCDA")
 
 
-def network_n(circuit: Circuit) -> int:
-    """The n of the n-network whose layout ``circuit`` has: 2^(n+2)+1 wires
-    labelled ``mqg_roles(n)``. Its layers are not checked."""
-    M = circuit.num_qubits
+def network_n(roles: tuple[str, ...]) -> int:
+    """The n of the n-network whose layout the wire labels ``roles`` give:
+    2^(n+2)+1 wires labelled ``mqg_roles(n)``."""
+    M = len(roles)
     n = (M - 1).bit_length() - 3
     if n < 1 or 2 ** (n + 2) + 1 != M:
         raise CircuitError(f"{M} qubits does not match any n-network")
-    if circuit.roles != mqg_roles(n):
+    if roles != mqg_roles(n):
         raise CircuitError("circuit role map does not match the n-network layout")
     return n
 

@@ -56,12 +56,12 @@ def _report(report) -> dict:
 
 
 def cmd_synth(args) -> int:
-    from .circuit import metrics
+    from .circuit import metrics, mqg_roles
     from .mqgc import serialize
     from .synthesis import synth_mqg_network
 
     circuit = synth_mqg_network(args.n)
-    _write(serialize(circuit), args)
+    _write(serialize(circuit, mqg_roles(args.n)), args)
     m = metrics(circuit)
     print(
         f"qubits={m.qubit_count} mqg_count={m.mqg_count} "
@@ -72,18 +72,19 @@ def cmd_synth(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .circuit import control_target_masks, network_n
+    from .circuit import control_target_masks, mqg_roles, network_n
     from .sim import EXHAUSTIVE_LIMIT, check_anf, mcx_oracle, run_all, run_anf
 
     if args.circuit:
         from .mqgc import parse
 
-        circuit = parse(Path(args.circuit).read_text(encoding="utf-8"))
+        circuit, roles = parse(Path(args.circuit).read_text(encoding="utf-8"))
     else:
         from .synthesis import synth_mqg_network
 
         circuit = synth_mqg_network(args.n)
-    oracle = mcx_oracle(*control_target_masks(network_n(circuit)))
+        roles = mqg_roles(args.n)
+    oracle = mcx_oracle(*control_target_masks(network_n(roles)))
 
     mode = args.mode
     if mode == "auto":
@@ -91,7 +92,7 @@ def cmd_verify(args) -> int:
     if mode == "exhaustive":
         report = run_all(circuit, oracle)
     else:
-        report = check_anf(run_anf(circuit), oracle, circuit.roles)
+        report = check_anf(run_anf(circuit), oracle, roles)
     _emit(_payload(args, "verify", _report(report)), args)
     return EXIT_OK if report.passed else EXIT_FAIL
 

@@ -1,15 +1,22 @@
 """The MQGC1 circuit file format: ``serialize`` and its canonical ``parse``.
 
-Only the commands that read or write a file, ``verify --circuit`` and
-``synth``, load this module.
+A file holds a ``Circuit`` and one distinct label per wire (``A0``, ``B1``,
+...): ``parse`` returns the labels beside the circuit and ``serialize``
+takes them. Only ``verify --circuit`` and ``synth``, the commands that
+read or write a file, load this module.
 """
 from __future__ import annotations
 
 import re
 
-from .circuit import _LABEL, _NUM, Circuit, CircuitError, Gate, LayerError, _clip
+from .circuit import Circuit, CircuitError, Gate, LayerError, _clip
 
 FORMAT_MAGIC = "MQGC1"
+
+# ASCII decimal, no sign, no leading zero: the only spelling serialize emits.
+# At most 4300 digits, the most Python's int() converts by default.
+_NUM = "(0|[1-9][0-9]{0,4299})"
+_LABEL = re.compile(f"([ABCD]){_NUM}")
 
 _QUBITS = re.compile(f"qubits {_NUM}")
 _ROLE = re.compile(f"role {_NUM} (.*)")
@@ -24,17 +31,19 @@ class CircuitParseError(CircuitError):
         self.line = line
 
 
-def serialize(circuit: Circuit) -> str:
+def serialize(circuit: Circuit, roles: tuple[str, ...]) -> str:
+    """MQGC1 text of ``circuit`` with ``roles`` labelling its wires by flat index."""
     lines = [FORMAT_MAGIC, f"qubits {circuit.num_qubits}"]
-    lines += [f"role {i} {label}" for i, label in enumerate(circuit.roles)]
+    lines += [f"role {i} {label}" for i, label in enumerate(roles)]
     for layer in circuit.layers:
         lines.append("layer")
         lines += [f"toff {c1} {c2} {t}" for c1, c2, t in layer]
     return "\n".join(lines) + "\n"
 
 
-def parse(text: str) -> Circuit:
-    """Parse canonical MQGC1 text, exactly what ``serialize`` writes.
+def parse(text: str) -> tuple[Circuit, tuple[str, ...]]:
+    """Parse canonical MQGC1 text, exactly what ``serialize`` writes, into
+    the circuit and its wire labels.
 
     Any other spelling (signs, leading zeros, non-ASCII digits, extra
     spaces, blank lines, CR or a missing final newline) raises
@@ -86,11 +95,11 @@ def parse(text: str) -> Circuit:
             fail(lineno, "toff outside a layer block")
         layers[-1].append((int(match[1]), int(match[2]), int(match[3])))
 
+    if len(set(roles)) != num_qubits:
+        fail(num_qubits + 2, "role map is not a bijection (duplicate labels)")
     try:
-        return Circuit(tuple(roles), tuple(tuple(layer) for layer in layers))
+        return Circuit(num_qubits, tuple(tuple(layer) for layer in layers)), tuple(roles)
     except LayerError as e:
         # A layer's gates sit on the lines right after its header.
         start = layer_lines[e.layer]
         fail(start if e.gate is None else start + 1 + e.gate, str(e))
-    except CircuitError as e:
-        fail(num_qubits + 2, str(e))

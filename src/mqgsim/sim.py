@@ -36,28 +36,18 @@ def bitstring(word: int, width: int) -> str:
     return "".join(str((word >> i) & 1) for i in range(width))
 
 
-# Bit i of each state 0..7 (one byte, state 0 in bit 0), for wires 0-2.
-_LOW_WIRE_BYTES = (0xAA, 0xCC, 0xF0)
-
-
 def wire_columns(width: int) -> list[int]:
     """Bit-sliced identity map: bit s of column i is bit i of s.
 
-    Byte k of a column holds states 8k..8k+7. Wires 0-2 repeat one byte;
-    wire i >= 3 repeats 2^(i-3) zero bytes followed by 2^(i-3) 0xff bytes.
+    Built by doubling: once states 0..2^i - 1 are set, each column repeats
+    them 2^i states up, and column i is 1 on states 2^i..2^(i+1) - 1.
     """
-    states = 1 << width
-    nbytes = max(states // 8, 1)
-    columns = []
+    columns = [0] * width
     for i in range(width):
-        if i < 3:
-            pattern = bytes((_LOW_WIRE_BYTES[i],))
-        else:
-            half = 1 << (i - 3)
-            pattern = b"\x00" * half + b"\xff" * half
-        columns.append(int.from_bytes(pattern * (nbytes // len(pattern)), "little"))
-    if states < 8:
-        columns = [c & ((1 << states) - 1) for c in columns]
+        half = 1 << i
+        for j in range(i):
+            columns[j] |= columns[j] << half
+        columns[i] = ((1 << half) - 1) << half
     return columns
 
 

@@ -8,7 +8,7 @@ is compared with is in ``baseline``.
 """
 from __future__ import annotations
 
-from .circuit import Circuit, CircuitError, Gate, mqg_roles, network_rows, wire
+from .circuit import Circuit, CircuitError, Gate, network_rows, wire
 
 # Largest n the network builder takes. `synth --n 10` (4097 wires, 4096
 # layers) peaks at about 520 MB and each step up costs about 4x, so n = 11
@@ -35,7 +35,7 @@ def synth_mqg_network(n: int) -> Circuit:
             f"n={n} is over the network limit of {NETWORK_LIMIT} "
             f"({2 ** (n + 2) + 1} wires)"
         )
-    return Circuit(mqg_roles(n), layer_templates(n) * 2 ** (n + 1))
+    return Circuit(2 ** (n + 2) + 1, layer_templates(n) * 2 ** (n + 1))
 
 
 def pin_mask(n: int, active: int) -> int:

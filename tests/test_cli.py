@@ -262,7 +262,7 @@ def test_verify_parse_error_exit_2(tmp_path, capsys):
 )
 def test_parse_errors_clip_long_tokens(tmp_path, capsys, line, text, message):
     # Each message keeps its line number and hint but echoes only a prefix.
-    lines = serialize(synthesis.synth_mqg_network(1)).split("\n")
+    lines = serialize(synthesis.synth_mqg_network(1), mqg_roles(1)).split("\n")
     lines[line - 1] = text
     bad = tmp_path / "bad.mqgc"
     bad.write_text("\n".join(lines))

@@ -72,10 +72,6 @@ def evaluate_all(polys, width):
     return [evaluate(polys[i], wires, ones) for i in range(width)]
 
 
-def roles(width):
-    return tuple(f"A{i}" for i in range(width))
-
-
 @st.composite
 def random_layers(draw, width, min_layers=0, max_layers=6):
     """Layers of disjoint gates on ``width`` wires."""
@@ -91,7 +87,7 @@ def random_layers(draw, width, min_layers=0, max_layers=6):
 def small_circuits(draw):
     """Random circuits on 3..10 wires: up to six layers of disjoint gates."""
     width = draw(st.integers(3, 10))
-    return Circuit(roles(width), draw(random_layers(width)))
+    return Circuit(width, draw(random_layers(width)))
 
 
 def test_run_basis_all_controls():
@@ -112,7 +108,7 @@ def test_run_basis_identity_when_b1_zero():
 
 
 def test_run_basis_empty_circuit():
-    c = Circuit(mqg_roles(1))
+    c = Circuit(9)
     bits = (1, 0, 1, 0, 1, 0, 1, 0, 1)
     assert_same_columns(output_columns(c), wire_columns(9))
     assert row(output_columns(c), word(bits)) == bits
@@ -133,7 +129,7 @@ def test_run_all_matches_closed_form(n):
 
 def test_run_all_mutation_gives_counterexample():
     c = network(1)
-    mutated = Circuit(c.roles, c.layers[:-1])
+    mutated = c._replace(layers=c.layers[:-1])
     rep = run_all(mutated, oracle(1))
     assert not rep.passed
     assert rep.counterexample is not None
@@ -157,11 +153,11 @@ def test_run_all_refuses_large_width():
 @pytest.mark.parametrize("n", [1, 2])
 def test_network_is_involution(n):
     c = network(n)
-    assert_same_columns(output_columns(Circuit(c.roles, c.layers * 2)), wire_columns(c.num_qubits))
+    assert_same_columns(output_columns(c._replace(layers=c.layers * 2)), wire_columns(c.num_qubits))
 
 
 def test_run_anf_single_toffoli():
-    c = Circuit(("A0", "C1", "D1"), (((0, 1, 2),),))
+    c = Circuit(3, (((0, 1, 2),),))
     out = run_anf(c)
     assert out[2] == Anf.var(2) ^ (Anf.var(0) & Anf.var(1))
     assert out[0] == Anf.var(0)
@@ -201,7 +197,7 @@ def test_run_anf_matches_reference_on_every_layer_deletion(monkeypatch):
         c = network(n)
         for drop in range(len(c.layers)):
             calls.clear()
-            mutant = Circuit(c.roles, c.layers[:drop] + c.layers[drop + 1 :])
+            mutant = c._replace(layers=c.layers[:drop] + c.layers[drop + 1 :])
             assert run_anf(mutant) == anf_outputs(mutant), (n, drop)
             assert len(calls) <= 3 * n, (n, drop)
 
@@ -215,9 +211,9 @@ def raw(anf_map):
 @settings(max_examples=60, deadline=None)
 def test_compose_of_run_anf_is_run_anf_of_the_sequence(data):
     width = data.draw(st.integers(3, 10))
-    first = Circuit(roles(width), data.draw(random_layers(width)))
-    then = Circuit(roles(width), data.draw(random_layers(width)))
-    both = Circuit(roles(width), first.layers + then.layers)
+    first = Circuit(width, data.draw(random_layers(width)))
+    then = Circuit(width, data.draw(random_layers(width)))
+    both = Circuit(width, first.layers + then.layers)
     composed = gf2.compose(raw(run_anf(then)), raw(run_anf(first)))
     assert {w: Anf(poly) for w, poly in composed.items()} == run_anf(both) == anf_outputs(both)
 
@@ -243,7 +239,7 @@ def test_runs_finds_no_run_in_a_cube_free_sequence_in_linear_time(monkeypatch):
     assert list(sim._runs(order)) == [(0, len(order), 1)]
     assert time.process_time() - start < 1.0
     calls = count_compositions(monkeypatch)
-    c = Circuit(roles(7), order[:256])
+    c = Circuit(7, order[:256])
     assert run_anf(c) == anf_outputs(c)
     assert calls == []
 
@@ -265,7 +261,7 @@ def test_run_anf_powers_a_run_between_gate_passes(k, suffix, monkeypatch):
     # columns; k <= 2 takes the gate pass.
     calls = count_compositions(monkeypatch)
     c = network(2)
-    padded = Circuit(c.roles, (((0, 1, 2),),) + c.layers[:2] * k + suffix)
+    padded = c._replace(layers=(((0, 1, 2),),) + c.layers[:2] * k + suffix)
     assert run_anf(padded) == anf_outputs(padded)
     powered = k.bit_length() - 1 + bin(k).count("1") if k >= 3 else 0
     assert len(calls) == powered
@@ -284,7 +280,7 @@ def test_run_anf_matches_reference_on_repeated_blocks(data):
         layers = data.draw(random_layers(width, 1, 2)) + layers
     if affix in ("suffix", "both"):
         layers = layers + data.draw(random_layers(width, 1, 2))
-    c = Circuit(roles(width), layers)
+    c = Circuit(width, layers)
     assert run_anf(c) == anf_outputs(c)
 
 
@@ -306,7 +302,7 @@ def test_statevector_superposition_matches_ideal_gate():
     c = network(1)
     table = mcx_table(*network_masks(1), 9)
     outs = table_words(output_columns(c))
-    control_bits = [c.roles.index(label) for label in ("A0", "B1", "C1", "B2", "C2")]
+    control_bits = [mqg_roles(1).index(label) for label in ("A0", "B1", "C1", "B2", "C2")]
     for pattern in range(1 << 5):
         s = sum(1 << bit for j, bit in enumerate(control_bits) if (pattern >> j) & 1)
         assert outs[s] == table[s]
@@ -321,7 +317,7 @@ def test_statevector_dimension_mismatch():
 def test_layer_order_within_layer_is_irrelevant():
     c = network(1)
     reversed_layers = tuple(tuple(reversed(layer)) for layer in c.layers)
-    c_rev = Circuit(c.roles, reversed_layers)
+    c_rev = c._replace(layers=reversed_layers)
     assert_same_columns(output_columns(c), output_columns(c_rev))
 
 
@@ -378,7 +374,7 @@ def test_check_stages_final_stage_is_the_output(n):
     final = [st for st in check_stages(n, wire_columns(c.num_qubits)) if st.k == 2**n]
     assert [st.l for st in final] == list(range(1, 2**n + 1))
     for st in final:
-        a, d = outs[c.roles.index(f"A{st.l}")], outs[c.roles.index(f"D{st.l}")]
+        a, d = outs[mqg_roles(n).index(f"A{st.l}")], outs[mqg_roles(n).index(f"D{st.l}")]
         names = [f"{field} at l={st.l}" for field in ("A", "A_oracle", "D", "D_oracle")]
         assert_same_columns([st.A, st.A_oracle, st.D, st.D_oracle], [a, a, d, d], names)
 
@@ -429,18 +425,18 @@ def test_equiv_report_json_schema():
         "counterexample": None,
     }
     c = network(1)
-    symbolic = check_anf(run_anf(c), oracle(1), c.roles)._asdict()
+    symbolic = check_anf(run_anf(c), oracle(1), mqg_roles(1))._asdict()
     assert symbolic == dict(exhaustive, mode="symbolic")
 
 
 def test_check_anf_reports_first_bad_wire():
     c = network(1)
-    mutated = Circuit(c.roles, c.layers[:-1])
-    rep = check_anf(run_anf(mutated), oracle(1), c.roles)
+    mutated = c._replace(layers=c.layers[:-1])
+    rep = check_anf(run_anf(mutated), oracle(1), mqg_roles(1))
     assert not rep.passed
     assert rep.qubits == 9
     assert set(rep.counterexample) == {"wire", "expected", "actual"}
-    assert rep.counterexample["wire"] in c.roles
+    assert rep.counterexample["wire"] in mqg_roles(1)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -471,7 +467,7 @@ def test_anf_matches_truth_table(n, drop):
     # mutant checks that they agree where the oracle is not met too.
     c = network(n)
     if drop is not None:
-        c = Circuit(c.roles, c.layers[:drop] + c.layers[drop + 1 :])
+        c = c._replace(layers=c.layers[:drop] + c.layers[drop + 1 :])
     assert_same_columns(evaluate_all(run_anf(c), c.num_qubits), output_columns(c))
 
 

@@ -57,7 +57,7 @@ def test_network_layer_support(n):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_network_never_targets_controls(n):
     c = synth_mqg_network(n)
-    targets = {c.roles[t] for layer in c.layers for _, _, t in layer}
+    targets = {mqg_roles(n)[t] for layer in c.layers for _, _, t in layer}
     assert "A0" not in targets
     assert not any(t[0] in ("B", "C") for t in targets)
 
@@ -65,14 +65,15 @@ def test_network_never_targets_controls(n):
 def test_network_all_controls_one():
     # Only the target flips when every control is 1 and the rest start at 0.
     c = synth_mqg_network(1)
-    word = sum(1 << c.roles.index(label) for label in ("A0", "B1", "C1", "B2", "C2"))
+    roles = mqg_roles(1)
+    word = sum(1 << roles.index(label) for label in ("A0", "B1", "C1", "B2", "C2"))
     out = table_words(output_columns(c))[word]
-    assert out == word | (1 << c.roles.index("A2"))
+    assert out == word | (1 << roles.index("A2"))
 
 
 def test_network_identity_when_a_control_is_zero():
     c = synth_mqg_network(1)
-    c2_bit = 1 << c.roles.index("C2")
+    c2_bit = 1 << mqg_roles(1).index("C2")
     outs = table_words(output_columns(c))
     for word in range(1 << 9):
         if not word & c2_bit:
@@ -103,8 +104,9 @@ def test_padding_rejects_out_of_range():
 def test_baseline_m3_gate_list():
     c = synth_baseline_dirty(3)
     gates = [g for layer in c.layers for g in layer]
-    t_gate = T(c.roles, ("C", 3), ("D", 1), ("A", 0))
-    peak = T(c.roles, ("C", 1), ("C", 2), ("D", 1))
+    # Controls c_1..c_3 are wires 0..2, ancilla x_1 is 3 and target t is 4.
+    t_gate = (2, 3, 4)  # T(c_3, x_1 -> t)
+    peak = (0, 1, 3)  # T(c_1, c_2 -> x_1)
     assert gates == [t_gate, peak, t_gate, peak]
 
 
@@ -123,17 +125,17 @@ def test_baseline_rejects_small_m():
 def test_baseline_exhaustive_with_dirty_ancillas(m):
     c = synth_baseline_dirty(m)
     M = c.num_qubits
-    # Controls first, target last (baseline_roles order).
+    # Controls first, target last.
     expected = mcx_table((1 << m) - 1, 1 << (M - 1), M)
     assert output_columns(c) == table_columns(expected, M)
 
 
 def test_baseline_dirty_example_m4():
     c = synth_baseline_dirty(4)
-    # Controls all 1, ancillas dirty.
-    word = 0b1111 | (1 << c.roles.index("D1")) | (1 << c.roles.index("D2"))
+    # Controls (wires 0-3) all 1, ancillas (4, 5) dirty, target 6.
+    word = 0b1111 | (1 << 4) | (1 << 5)
     out = table_words(output_columns(c))[word]
-    assert out == word | (1 << c.roles.index("A0"))
+    assert out == word | (1 << 6)
 
 
 @pytest.mark.parametrize(
