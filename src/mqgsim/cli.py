@@ -1,7 +1,7 @@
 """Command-line front end: synth, verify, compare, nmr-verify, trace.
 
 Exit codes: 0 success/pass, 1 verification failure, 2 usage or parse error.
-All randomness flows from --seed, so identical invocations produce
+Nothing in the package is random, so identical invocations produce
 byte-identical JSON. Each subcommand imports the modules it runs when it
 runs, so a circuit command never loads the NMR module and nmr-verify
 never loads the circuit stack. The file format (``mqgc``) loads only for
@@ -109,15 +109,11 @@ def cmd_compare(args) -> int:
 
 
 def cmd_nmr_verify(args) -> int:
-    from .nmr import LatticeConfig, seeded_couplings, verify_identity
+    from .nmr import LatticeConfig, verify_identity
 
     kinds = range(1, 7) if args.kind == "all" else [int(args.kind)]
-    if args.couplings is not None:
-        couplings = tuple(args.couplings)
-    else:
-        couplings = seeded_couplings(args.seed)
-    cfg = LatticeConfig(rows=args.rows, couplings=couplings, boundary=args.boundary)
-    reports = [_report(verify_identity(kind, cfg, t=args.t)) for kind in kinds]
+    cfg = LatticeConfig(rows=args.rows, boundary=args.boundary)
+    reports = [_report(verify_identity(kind, cfg)) for kind in kinds]
     all_pass = all(r["pass"] for r in reports)
     _emit(_payload(args, "nmr-verify", {"pass": all_pass, "identities": reports}), args)
     return EXIT_OK if all_pass else EXIT_FAIL
@@ -181,21 +177,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("nmr-verify", help="check the six refocusing identities")
+    # No abbreviations, so the deleted --t cannot pass as --trials.
+    p = sub.add_parser(
+        "nmr-verify", help="check the six refocusing identities", allow_abbrev=False
+    )
     p.add_argument("--kind", default="all", choices=["all", "1", "2", "3", "4", "5", "6"])
     p.add_argument("--rows", type=int, default=2)
     p.add_argument("--boundary", choices=("periodic", "open"), default="periodic")
-    p.add_argument(
-        "--couplings",
-        type=float,
-        nargs=6,
-        default=None,
-        metavar=("A", "B", "C", "D", "E", "F"),
-        help="six coupling strengths; default drawn from --seed",
-    )
-    p.add_argument("--t", type=float, default=0.7)
     p.add_argument("--trials", type=int, default=20, help="no effect; every term is checked")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="no effect; the verdict reads no draw")
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=cmd_nmr_verify)
 

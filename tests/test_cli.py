@@ -23,6 +23,14 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def refused(capsys, *argv):
+    """(exit code, stdout, stderr) of main(argv) when argparse refuses argv."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
 # Runs main() on each argv in a fresh interpreter; the last stdout line is
 # the exit codes and the names of the loaded modules.
 _PROBE = """
@@ -63,10 +71,9 @@ def test_option_strings_are_pinned():
         "synth": ["--n", "--out"],
         "verify": ["--circuit", "--n", "--mode", "--out"],
         "compare": ["--n", "--all-up-to", "--out"],
-        # --trials has no effect; it goes once the benchmark stops passing
-        # it (ROADMAP item 4).
-        "nmr-verify": ["--kind", "--rows", "--boundary", "--couplings", "--t", "--trials",
-                       "--seed", "--out"],
+        # --trials and --seed have no effect; they go once the benchmark
+        # stops passing them (ROADMAP item 1).
+        "nmr-verify": ["--kind", "--rows", "--boundary", "--trials", "--seed", "--out"],
         "trace": ["--n", "--input", "--format", "--out"],
     }
     with pytest.raises(SystemExit) as exc:
@@ -368,16 +375,16 @@ def test_nmr_verify_rows_3(capsys):
         pytest.param(argv, digest, id=argv)
         for argv, digest in [
             ("--kind all --rows 2 --seed 7",
-             "668f046bc58e6e1296c241500abf7731928a2db9560404532ae5c562c7f51f56"),
+             "ad6eba39ee22e32ff5f1ab0f306c9508a0f15ec8f55af16f9fb797c3a0f85dc1"),
             # The odd ring: kinds 3 and 6 report matches_published false.
             ("--kind all --rows 3 --seed 7",
-             "8bf0b3f9ee7815d4f94ed1da61b81362c0fb1192ec7462d182718d292531fcda"),
+             "9037ab93810ede8eba26c48443fdf07dba46779df47eb078c5b346593eae7768"),
             ("--kind all --rows 3 --boundary open --seed 7",
-             "82a24214e40e86aa5688d101f83f6af16595b5ff5b3f7369e327898437b5cbd5"),
-            ("--kind 4 --rows 2 --couplings 1 0 -1 2 3 4 --t 0",
-             "a2587f4169f0e4cf59c54f6fcd14ef3447546497a4fb0039d43654cffff5a94f"),
-            ("--kind all --rows 4 --t 1e5",
-             "5d2486b3418f540ce81018e4a4dd486b4359d352badf4a6aa9302fc8ef6ac738"),
+             "e43be1c0d230ddd65d12a2939cea6275a154fdbb8e9bf84fdd1c6b77a299f6f6"),
+            ("--kind 4 --rows 2",
+             "4c70579c457787976352f6cb504b937d2fac86fd5288d36aa7789baeb810846e"),
+            ("--kind all --rows 4",
+             "b9831db3afd5674100814bc16d6155066f3af1bfbc2fbb70258fa5f957d73e28"),
         ]
     ],
 )
@@ -397,18 +404,22 @@ def test_nmr_verify_byte_identical_given_seed(capsys):
 
 
 def test_nmr_verify_explicit_couplings(capsys):
-    code, stdout, _ = run_cli(
-        capsys,
-        "nmr-verify", "--kind", "4", "--rows", "2",
+    # The verdict reads no coupling strength, so --couplings is gone and
+    # the report names none.
+    code, stdout, err = refused(
+        capsys, "nmr-verify", "--kind", "4", "--rows", "2",
         "--couplings", "1", "0.5", "0.25", "2", "1.5", "0.75",
-        "--t", "0.3", "--trials", "5", "--seed", "1",
+    )
+    assert (code, stdout) == (2, "")
+    assert "unrecognized arguments: --couplings" in err
+    code, stdout, _ = run_cli(
+        capsys, "nmr-verify", "--kind", "4", "--rows", "2", "--trials", "5", "--seed", "1"
     )
     assert code == 0
     identity = json.loads(stdout)["report"]["identities"][0]
-    assert identity["couplings"] == [1, 0.5, 0.25, 2, 1.5, 0.75]
     assert identity["pass"] is True and identity["counterexample"] is None
-    assert identity["max_deviation"] == 0.0
-    assert not {"trials", "seed", "min_fidelity", "passed"} & identity.keys()
+    assert not {"couplings", "t", "max_deviation", "trials", "seed", "min_fidelity",
+                "passed"} & identity.keys()
 
 
 def test_nmr_verify_trials_has_no_effect(capsys):
@@ -429,10 +440,16 @@ def test_nmr_verify_over_spin_limit(capsys, monkeypatch):
 
 
 def test_nmr_verify_long_time(capsys):
-    # The dense check reported false failures here (max deviation ~4.7e-10).
-    code, stdout, _ = run_cli(capsys, "nmr-verify", "--kind", "all", "--rows", "4", "--t", "1e5")
+    # The dense check reported false failures at --t 1e5; the verdict reads
+    # no time, so --t is gone.
+    code, stdout, err = refused(capsys, "nmr-verify", "--kind", "all", "--rows", "4", "--t", "1e5")
+    assert (code, stdout) == (2, "")
+    assert "unrecognized arguments: --t 1e5" in err
+    code, stdout, _ = run_cli(capsys, "nmr-verify", "--kind", "all", "--rows", "4")
     assert code == 0
-    assert all(i["max_deviation"] == 0.0 for i in json.loads(stdout)["report"]["identities"])
+    payload = json.loads(stdout)
+    assert "t" not in payload["config"]
+    assert all(i["pass"] and "max_deviation" not in i for i in payload["report"]["identities"])
 
 
 def test_nmr_verify_without_numpy():
@@ -447,25 +464,29 @@ def test_nmr_verify_without_numpy():
 
 
 def test_nmr_verify_seed_draws_couplings(capsys):
-    _, stdout, _ = run_cli(capsys, "nmr-verify", "--kind", "1", "--seed", "5")
-    assert json.loads(stdout)["report"]["identities"][0]["couplings"] == list(
-        nmr.seeded_couplings(5)
-    )
-    code, stdout, err = run_cli(capsys, "nmr-verify", "--seed", "-1")
-    assert (code, stdout) == (2, "")
-    assert err == "error: seed must be >= 0, got -1\n"
+    # --seed draws nothing: any seed, a negative one too, gives the same
+    # report, and the config echoes it.
+    runs = [run_cli(capsys, "nmr-verify", "--kind", "1", "--seed", seed) for seed in "05"]
+    runs.append(run_cli(capsys, "nmr-verify", "--kind", "1", "--seed=-1"))
+    assert [code for code, _, _ in runs] == [0, 0, 0]
+    payloads = [json.loads(stdout) for _, stdout, _ in runs]
+    assert [p["config"]["seed"] for p in payloads] == [0, 5, -1]
+    assert all(p["report"] == payloads[0]["report"] for p in payloads)
+    assert "couplings" not in payloads[0]["report"]["identities"][0]
 
 
 def test_nmr_verify_overflow_fails_without_warnings():
-    # A fresh interpreter, so pytest's own warning capture cannot hide any.
+    # A fresh interpreter, so pytest's own warning capture cannot hide any:
+    # the deleted --couplings is refused with the usage line and one error.
     done = child(
-        "-m", "mqgsim.cli", "nmr-verify", "--rows", "2",
+        "-W", "error", "-m", "mqgsim.cli", "nmr-verify", "--rows", "2",
         "--couplings", "1e308", "1", "1", "1", "1", "1",
         check=False,
     )
     assert (done.returncode, done.stdout) == (2, "")
-    assert done.stderr.startswith("error: 4 t |coupling| overflows")
-    assert done.stderr.count("\n") == 1  # the error line, no warnings
+    assert done.stderr.startswith("usage: ")
+    assert done.stderr.endswith("error: unrecognized arguments: --couplings 1e308 1 1 1 1 1\n")
+    assert done.stderr.count("\n") == 2  # usage and error, no warnings
 
 
 @pytest.mark.parametrize(
@@ -477,17 +498,22 @@ def test_nmr_verify_overflow_fails_without_warnings():
     ],
 )
 def test_nmr_verify_overflow_is_a_usage_error(capsys, argv):
-    code, stdout, err = run_cli(capsys, "nmr-verify", "--rows", "2", *argv)
+    # --couplings and --t are deleted flags, refused before any run.
+    code, stdout, err = refused(capsys, "nmr-verify", "--rows", "2", *argv)
     assert (code, stdout) == (2, "")
-    assert err.startswith("error: 4 t |coupling| overflows")
+    assert "unrecognized arguments" in err
 
 
 def test_nmr_verify_never_prints_nan(capsys, monkeypatch):
-    # A NaN residual fails the check, but it cannot reach stdout as JSON.
-    monkeypatch.setattr(nmr, "pair_sign_total", lambda i, j, masks: None)
+    # A walk with no integer total fails the pair, and stdout stays strict
+    # JSON: the missing total is null.
+    monkeypatch.setattr(nmr, "pair_sign_total", lambda groups, ci, cj: None)
     code, stdout, err = run_cli(capsys, "nmr-verify", "--kind", "1")
-    assert (code, stdout) == (2, "")
-    assert err.startswith("error: Out of range float values are not JSON compliant")
+    assert (code, err) == (1, "")
+    strict = json.loads(stdout, parse_constant=lambda c: pytest.fail(f"{c} is not JSON"))
+    (identity,) = strict["report"]["identities"]
+    assert identity["counterexample"] == {"pair": "A1-C1", "u": None, "total": 4}
+    assert '"u": null' in stdout
 
 
 @pytest.mark.parametrize(
@@ -514,16 +540,18 @@ def test_stdout_is_strict_json(tmp_path, monkeypatch, capsys, argv):
 def test_nmr_verify_bad_flags(capsys):
     code, _, err = run_cli(capsys, "nmr-verify", "--rows", "1")
     assert code == 2
-    code, _, err = run_cli(capsys, "nmr-verify", "--couplings", "nan", "1", "1", "1", "1", "1")
-    assert code == 2 and err.startswith("error: couplings must be finite")
+    assert err == "error: need at least 2 rows, got 1\n"
+    code, _, err = refused(capsys, "nmr-verify", "--couplings", "nan", "1", "1", "1", "1", "1")
+    assert code == 2 and "unrecognized arguments: --couplings nan" in err
 
 
 @pytest.mark.parametrize("flag,value", [("--t", "-0.7")])
 def test_nmr_verify_rejects_negative(capsys, flag, value):
-    code, stdout, err = run_cli(capsys, "nmr-verify", "--kind", "1", f"{flag}={value}")
+    # --t is gone, so any value of it is refused.
+    code, stdout, err = refused(capsys, "nmr-verify", "--kind", "1", f"{flag}={value}")
     assert code == 2
     assert stdout == ""
-    assert err.startswith("error: ")
+    assert f"unrecognized arguments: {flag}={value}" in err
 
 
 def test_trace_text_output(capsys):
