@@ -5,6 +5,12 @@ Each layer is a tuple of ``(c1, c2, t)`` flat wire indices, one per
 Toffoli, and the gates of one layer touch disjoint wires, so they commute
 and can be thought of as executing simultaneously. Basis states are plain
 integers with bit 0 corresponding to flat wire index 0 (little-endian).
+``_apply_layers`` is the one gate pass: a Toffoli is
+``col[t] ^= col[c1] & col[c2]`` on whatever the columns hold. On
+bit-sliced int columns (bit s of column i is wire i in basis state s) it
+runs all 2^M basis states at once, or one state whose columns are 0 or 1;
+on ``Anf.var`` columns it is symbolic GF(2) simulation, exact at any
+width.
 ``wire`` is the n-network's one layout formula from role and row to flat
 index; wire labels (``mqg_roles``) are only for the edges: the MQGC1 file
 format (``mqgc``), ``network_n`` and text output.
@@ -13,7 +19,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 Gate = tuple[int, int, int]
 
@@ -61,16 +67,20 @@ class Circuit(namedtuple("Circuit", "num_qubits layers")):
     """Immutable circuit: a width, plus layers of (c1, c2, t) gates.
 
     Construction checks that every layer is non-empty, in range, and made
-    of disjoint three-wire gates. Equal layers are checked once, so a
-    network that repeats a few layer templates costs a hash per layer.
+    of disjoint three-wire gates. Equal layers are checked once, and a
+    layer object seen before is not hashed again, so a network that
+    repeats a few layer objects costs a dict lookup per layer.
     """
 
     __slots__ = ()
 
     def __new__(cls, num_qubits: int, layers: tuple[tuple[Gate, ...], ...] = ()):
+        seen: set[int] = set()
         first: dict[tuple[Gate, ...], int] = {}
         for i, layer in enumerate(layers):
-            first.setdefault(layer, i)
+            if id(layer) not in seen:
+                seen.add(id(layer))
+                first.setdefault(layer, i)
         for layer, i in first.items():
             _check_layer(i, layer, num_qubits)
         return super().__new__(cls, num_qubits, layers)
@@ -78,6 +88,12 @@ class Circuit(namedtuple("Circuit", "num_qubits layers")):
     @classmethod
     def _make(cls, fields) -> "Circuit":
         return cls(*fields)  # so _replace validates too
+
+
+def _apply_layers(columns: list, layers: Iterable[tuple[Gate, ...]]) -> None:
+    for layer in layers:
+        for c1, c2, t in layer:
+            columns[t] ^= columns[c1] & columns[c2]
 
 
 class Metrics(NamedTuple):

@@ -5,15 +5,16 @@ Nothing in the package is random, so identical invocations produce
 byte-identical JSON. Each subcommand imports the modules it runs when it
 runs, so a circuit command never loads the NMR module and nmr-verify
 never loads the circuit stack. The file format (``mqgc``) loads only for
-``verify --circuit`` and ``synth``, the stage check (``stages``) only for
-``trace`` and the V-chain (``baseline``) only for ``compare``.
+``verify --circuit`` and ``synth``, the ANF engine (``symbolic``) only for
+a symbolic ``verify``, the stage check (``stages``) only for ``trace`` and
+the V-chain (``baseline``) only for ``compare``. Importing this module
+loads neither argparse nor json: ``build_parser`` loads argparse and gives
+options only to the subcommand a call names, and ``_emit`` loads json, so
+``synth`` never does.
 """
 from __future__ import annotations
 
-import argparse
-import json
 import sys
-from pathlib import Path
 
 from . import __version__
 
@@ -27,16 +28,19 @@ EXIT_USAGE = 2
 TRACE_LIMIT = 8
 
 
-def _write(text: str, args) -> None:
-    """Write ``text`` to ``--out`` when it is given, else to stdout."""
-    if getattr(args, "out", None):
-        Path(args.out).write_text(text, encoding="utf-8")
+def _write(chunks, args) -> None:
+    """Write the strings ``chunks`` to ``--out`` when it is given, else to stdout."""
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as f:
+            f.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _emit(payload: dict, args) -> None:
-    _write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n", args)
+    import json
+
+    _write([json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"], args)
 
 
 def _payload(args, command: str, report: dict) -> dict:
@@ -73,12 +77,13 @@ def cmd_synth(args) -> int:
 
 def cmd_verify(args) -> int:
     from .circuit import control_target_masks, mqg_roles, network_n
-    from .sim import EXHAUSTIVE_LIMIT, check_anf, mcx_oracle, run_all, run_anf
+    from .sim import EXHAUSTIVE_LIMIT, mcx_oracle, run_all
 
     if args.circuit:
         from .mqgc import parse
 
-        circuit, roles = parse(Path(args.circuit).read_text(encoding="utf-8"))
+        with open(args.circuit, "rb") as f:
+            circuit, roles = parse(f)
     else:
         from .synthesis import synth_mqg_network
 
@@ -92,6 +97,8 @@ def cmd_verify(args) -> int:
     if mode == "exhaustive":
         report = run_all(circuit, oracle)
     else:
+        from .symbolic import check_anf, run_anf
+
         report = check_anf(run_anf(circuit), oracle, roles)
     _emit(_payload(args, "verify", _report(report)), args)
     return EXIT_OK if report.passed else EXIT_FAIL
@@ -145,63 +152,80 @@ def cmd_trace(args) -> int:
             f"     {'ok' if st.match else 'MISMATCH'}"
             for st in stages
         ]
-        _write("\n".join(lines) + "\n", args)
+        _write(["\n".join(lines) + "\n"], args)
     return EXIT_OK if all_match else EXIT_FAIL
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="mqgsim",
-        description="Synthesize and verify layered Toffoli networks and their "
-        "NMR refocusing schedules.",
-    )
-    parser.add_argument("--version", action="version", version=f"mqgsim {__version__}")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("synth", help="write the n-network in MQGC1 format")
+def _synth_options(p) -> None:
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--out", type=str, default=None)
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("verify", help="check a circuit against the output law")
+
+def _verify_options(p) -> None:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--circuit", type=str, help="MQGC1 file to verify")
     src.add_argument("--n", type=int, help="synthesize and verify the n-network")
     p.add_argument("--mode", choices=("auto", "exhaustive", "symbolic"), default="auto")
-    p.add_argument("--out", type=str, default=None)
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("compare", help="unit-count comparison row(s)")
+
+def _compare_options(p) -> None:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--all-up-to", action="store_true", help="emit rows for 1..n")
-    p.add_argument("--out", type=str, default=None)
-    p.set_defaults(func=cmd_compare)
 
-    # No abbreviations, so the deleted --t cannot pass as --trials.
-    p = sub.add_parser(
-        "nmr-verify", help="check the six refocusing identities", allow_abbrev=False
-    )
+
+def _nmr_verify_options(p) -> None:
     p.add_argument("--kind", default="all", choices=["all", "1", "2", "3", "4", "5", "6"])
     p.add_argument("--rows", type=int, default=2)
     p.add_argument("--boundary", choices=("periodic", "open"), default="periodic")
     p.add_argument("--trials", type=int, default=20, help="no effect; every term is checked")
     p.add_argument("--seed", type=int, default=0, help="no effect; the verdict reads no draw")
-    p.add_argument("--out", type=str, default=None)
-    p.set_defaults(func=cmd_nmr_verify)
 
-    p = sub.add_parser("trace", help="block-boundary wire values vs the oracle")
+
+def _trace_options(p) -> None:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--input", type=str, required=True, help="bits, flat-index order")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--out", type=str, default=None)
-    p.set_defaults(func=cmd_trace)
 
+
+# (name, help, add-options function, handler) of each subcommand, in help order.
+_COMMANDS = (
+    ("synth", "write the n-network in MQGC1 format", _synth_options, cmd_synth),
+    ("verify", "check a circuit against the output law", _verify_options, cmd_verify),
+    ("compare", "unit-count comparison row(s)", _compare_options, cmd_compare),
+    ("nmr-verify", "check the six refocusing identities", _nmr_verify_options, cmd_nmr_verify),
+    ("trace", "block-boundary wire values vs the oracle", _trace_options, cmd_trace),
+)
+
+
+def build_parser(argv):
+    """The parser for ``argv``. Every subcommand is registered with its help,
+    but only the one ``argv[0]`` names gets its options, ``--out`` last, so
+    a call builds one subcommand's options. No parser takes abbreviated options, so a
+    deleted flag that is a prefix of a live one is refused, not taken for it.
+    """
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="mqgsim",
+        description="Synthesize and verify layered Toffoli networks and their "
+        "NMR refocusing schedules.",
+        allow_abbrev=False,
+    )
+    parser.add_argument("--version", action="version", version=f"mqgsim {__version__}")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    chosen = argv[0] if argv else None
+    for name, summary, add_options, handler in _COMMANDS:
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        if name == chosen:
+            add_options(p)
+            p.add_argument("--out", type=str, default=None)
+            p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as e:

@@ -6,9 +6,9 @@ nothing from the package; the block recurrences that run on ``Anf``
 columns live in ``stages``.
 
 ``compose`` substitutes one map of raw monomial sets into another and
-touches only what the inner map moves, so ``sim.run_anf`` can raise a
+touches only what the inner map moves, so ``symbolic.run_anf`` can raise a
 repeated block of layers to its power instead of running its gates again;
-the gate pass itself stays in ``sim._apply_layers``. ``Anf.__and__`` and
+the gate pass itself stays in ``circuit._apply_layers``. ``Anf.__and__`` and
 ``compose`` multiply monomial sets with one helper, ``_product``.
 """
 from __future__ import annotations

@@ -8,6 +8,7 @@ read or write a file, load this module.
 from __future__ import annotations
 
 import re
+from typing import Iterable, Iterator
 
 from .circuit import Circuit, CircuitError, Gate, LayerError, _clip
 
@@ -31,34 +32,60 @@ class CircuitParseError(CircuitError):
         self.line = line
 
 
-def serialize(circuit: Circuit, roles: tuple[str, ...]) -> str:
-    """MQGC1 text of ``circuit`` with ``roles`` labelling its wires by flat index."""
-    lines = [FORMAT_MAGIC, f"qubits {circuit.num_qubits}"]
-    lines += [f"role {i} {label}" for i, label in enumerate(roles)]
+def serialize(circuit: Circuit, roles: tuple[str, ...]) -> Iterator[str]:
+    """MQGC1 text of ``circuit`` with ``roles`` labelling its wires by flat
+    index, in chunks: the header and role lines, then one chunk per layer.
+    Each distinct layer object's text is built once."""
+    yield f"{FORMAT_MAGIC}\nqubits {circuit.num_qubits}\n" + "".join(
+        f"role {i} {label}\n" for i, label in enumerate(roles)
+    )
+    texts: dict[int, str] = {}
     for layer in circuit.layers:
-        lines.append("layer")
-        lines += [f"toff {c1} {c2} {t}" for c1, c2, t in layer]
-    return "\n".join(lines) + "\n"
+        text = texts.get(id(layer))
+        if text is None:
+            text = texts[id(layer)] = "layer\n" + "".join(
+                f"toff {c1} {c2} {t}\n" for c1, c2, t in layer
+            )
+        yield text
 
 
-def parse(text: str) -> tuple[Circuit, tuple[str, ...]]:
+def parse(lines: Iterable[bytes]) -> tuple[Circuit, tuple[str, ...]]:
     """Parse canonical MQGC1 text, exactly what ``serialize`` writes, into
     the circuit and its wire labels.
 
-    Any other spelling (signs, leading zeros, non-ASCII digits, extra
-    spaces, blank lines, CR or a missing final newline) raises
-    CircuitParseError with the 1-based offending line.
+    ``lines`` are the UTF-8 lines of the text with their ``\\n`` ends, as a
+    file opened in binary mode yields them, so a lone CR stays inside its
+    line. Any other spelling (signs, leading zeros, non-ASCII digits, extra
+    spaces, blank lines, CR, bytes that are not UTF-8 or a missing final
+    newline) raises CircuitParseError with the 1-based offending line.
+    Lines are checked as they are read, so of two faulty lines the earlier
+    is reported; the label and layer checks run after the last line. Each
+    distinct gate line is decoded and matched once, and equal layers come
+    back as one tuple object.
     """
-    lines = text.split("\n")
+    numbered = enumerate(lines, 1)
 
     def fail(lineno: int, msg: str):
         raise CircuitParseError(lineno, msg)
 
-    if lines.pop() != "":
-        fail(len(lines) + 1, "text must end with a newline")
-    if not lines or lines[0] != FORMAT_MAGIC:
+    def decode(lineno: int, line: bytes) -> str:
+        """``line`` without its newline, as text."""
+        if line[-1:] != b"\n":
+            fail(lineno, "text must end with a newline")
+        try:
+            return line[:-1].decode("utf-8")
+        except UnicodeDecodeError as e:
+            fail(lineno, str(e))
+
+    def next_line() -> str | None:
+        """The next line as text, or None after the last."""
+        for lineno, line in numbered:
+            return decode(lineno, line)
+        return None
+
+    if next_line() != FORMAT_MAGIC:
         fail(1, f"expected header {FORMAT_MAGIC!r}")
-    match = _QUBITS.fullmatch(lines[1]) if len(lines) > 1 else None
+    match = _QUBITS.fullmatch(next_line() or "")
     if match is None:
         fail(2, "expected 'qubits <M>'")
     num_qubits = int(match[1])
@@ -68,9 +95,9 @@ def parse(text: str) -> tuple[Circuit, tuple[str, ...]]:
     roles = []
     for i in range(num_qubits):
         lineno = i + 3
-        if lineno > len(lines):
+        line = next_line()
+        if line is None:
             fail(lineno, "missing role line")
-        line = lines[lineno - 1]
         match = _ROLE.fullmatch(line)
         if match is None:
             fail(lineno, f"expected 'role <index> <label>', got {_clip(repr(line))}")
@@ -80,25 +107,41 @@ def parse(text: str) -> tuple[Circuit, tuple[str, ...]]:
             fail(lineno, f"bad qubit label {_clip(repr(match[2]))}")
         roles.append(match[2])
 
-    layers: list[list[Gate]] = []
+    gates: dict[bytes, Gate] = {}  # each distinct gate line, newline included
+    layers: list[tuple[Gate, ...]] = []
+    distinct: dict[tuple[Gate, ...], tuple[Gate, ...]] = {}
     layer_lines: list[int] = []
-    for lineno in range(num_qubits + 3, len(lines) + 1):
-        line = lines[lineno - 1]
-        if line == "layer":
-            layers.append([])
+    layer = None  # the gates of the open layer block
+
+    def close(layer: list[Gate] | None) -> None:
+        if layer is not None:
+            layer = tuple(layer)
+            layers.append(distinct.setdefault(layer, layer))
+
+    for lineno, line in numbered:
+        gate = gates.get(line)
+        if gate is not None:
+            layer.append(gate)
+            continue
+        if line == b"layer\n":
+            close(layer)
+            layer = []
             layer_lines.append(lineno)
             continue
-        match = _TOFF.fullmatch(line)
+        text = decode(lineno, line)
+        match = _TOFF.fullmatch(text)
         if match is None:
-            fail(lineno, f"unexpected line {_clip(repr(line))}")
-        if not layers:
+            fail(lineno, f"unexpected line {_clip(repr(text))}")
+        if layer is None:
             fail(lineno, "toff outside a layer block")
-        layers[-1].append((int(match[1]), int(match[2]), int(match[3])))
+        gate = gates[line] = (int(match[1]), int(match[2]), int(match[3]))
+        layer.append(gate)
+    close(layer)
 
     if len(set(roles)) != num_qubits:
         fail(num_qubits + 2, "role map is not a bijection (duplicate labels)")
     try:
-        return Circuit(num_qubits, tuple(tuple(layer) for layer in layers)), tuple(roles)
+        return Circuit(num_qubits, tuple(layers)), tuple(roles)
     except LayerError as e:
         # A layer's gates sit on the lines right after its header.
         start = layer_lines[e.layer]

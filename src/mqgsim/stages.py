@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .circuit import CircuitError, network_rows, wire
-from .sim import _apply_layers
+from .circuit import CircuitError, _apply_layers, network_rows, wire
 from .synthesis import layer_templates
 
 if TYPE_CHECKING:

@@ -1,3 +1,5 @@
+import io
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,6 +13,7 @@ from mqgsim.circuit import (
     network_n,
     wire,
 )
+from mqgsim import mqgc
 from mqgsim.mqgc import CircuitParseError, parse, serialize
 from mqgsim.sim import output_columns
 from mqgsim.synthesis import synth_mqg_network
@@ -18,6 +21,16 @@ from network_reference import network_masks, table_words
 
 THREE_WIRES = "MQGC1\nqubits 3\nrole 0 A0\nrole 1 B1\nrole 2 C1\n"
 LONG = "9" * 5000
+
+
+def parse_text(text):
+    """``parse`` on the UTF-8 lines of ``text``, as a file opened in binary
+    mode yields them: split only at ``\\n``."""
+    return parse(io.BytesIO(text.encode()))
+
+
+def serialize_text(circuit, roles):
+    return "".join(serialize(circuit, roles))
 
 
 def test_make_circuit_empty():
@@ -33,20 +46,20 @@ def test_make_circuit_single_qubit():
 
 def test_make_circuit_missing_index():
     # Eight role lines for nine declared qubits.
-    text = serialize(Circuit(9), mqg_roles(1))
+    text = serialize_text(Circuit(9), mqg_roles(1))
     lines = text.splitlines()
     del lines[6]
     with pytest.raises(CircuitParseError):
-        parse("\n".join(lines) + "\n")
+        parse_text("\n".join(lines) + "\n")
 
 
 def test_make_circuit_duplicate_label():
     # The role map must be a bijection; the error points at the last role line.
-    text = serialize(synth_mqg_network(2), mqg_roles(2)).replace("role 1 B1\n", "role 1 A0\n")
+    text = serialize_text(synth_mqg_network(2), mqg_roles(2)).replace("role 1 B1\n", "role 1 A0\n")
     with pytest.raises(
         CircuitParseError, match="role map is not a bijection \\(duplicate labels\\)"
     ) as exc:
-        parse(text)
+        parse_text(text)
     assert exc.value.line == 19
 
 
@@ -57,7 +70,7 @@ def test_make_circuit_rejects_bad_labels(label):
     # A role line takes only the canonical spelling, and the error echoes
     # only a prefix of a long label.
     with pytest.raises(CircuitParseError, match="bad qubit label") as exc:
-        parse(f"MQGC1\nqubits 2\nrole 0 A0\nrole 1 {label}\n")
+        parse_text(f"MQGC1\nqubits 2\nrole 0 A0\nrole 1 {label}\n")
     assert exc.value.line == 4
     assert len(str(exc.value)) < 100
 
@@ -165,12 +178,12 @@ def test_metrics_formulas(n):
 
 
 def test_serialize_minimal():
-    text = serialize(Circuit(1), ("A0",))
+    text = serialize_text(Circuit(1), ("A0",))
     assert text == "MQGC1\nqubits 1\nrole 0 A0\n"
 
 
 def test_serialize_network_counts():
-    text = serialize(synth_mqg_network(1), mqg_roles(1))
+    text = serialize_text(synth_mqg_network(1), mqg_roles(1))
     lines = text.splitlines()
     assert lines.count("layer") == 8
     assert sum(1 for ln in lines if ln.startswith("toff ")) == 16
@@ -179,18 +192,18 @@ def test_serialize_network_counts():
 @pytest.mark.parametrize("n", [1, 2])
 def test_roundtrip_network(n):
     c, roles = synth_mqg_network(n), mqg_roles(n)
-    assert parse(serialize(c, roles)) == (c, roles)
+    assert parse_text(serialize_text(c, roles)) == (c, roles)
 
 
 def test_parse_serialize_identity_on_text():
-    text = serialize(synth_mqg_network(1), mqg_roles(1))
-    assert serialize(*parse(text)) == text
+    text = serialize_text(synth_mqg_network(1), mqg_roles(1))
+    assert serialize_text(*parse_text(text)) == text
 
 
 def test_parse_duplicate_ref_rejected():
     text = "MQGC1\nqubits 2\nrole 0 A0\nrole 1 B1\nlayer\ntoff 0 0 1\n"
     with pytest.raises(CircuitParseError) as exc:
-        parse(text)
+        parse_text(text)
     assert exc.value.line == 6
 
 
@@ -222,8 +235,67 @@ def test_parse_duplicate_ref_rejected():
 )
 def test_parse_errors_carry_line_numbers(text, line):
     with pytest.raises(CircuitParseError) as exc:
-        parse(text)
+        parse_text(text)
     assert exc.value.line == line
+
+
+@pytest.mark.parametrize(
+    "text,line,message",
+    [
+        ("MQG??\nqubits 1\nrole 0 A0", 1, "expected header"),
+        (f"{THREE_WIRES}layer\nbogus\nlayer", 7, "unexpected line 'bogus'"),
+        # The label and layer checks run after the last line.
+        (f"{THREE_WIRES}layer\ntoff 0 1 9\nlayer", 8, "must end with a newline"),
+        ("MQGC1\nqubits 2\nrole 0 A0\nrole 1 A0", 4, "must end with a newline"),
+    ],
+)
+def test_missing_final_newline_shows_only_at_the_end(text, line, message):
+    # Lines are checked as they are read, and a missing final newline only
+    # shows at the last line, so an earlier faulty line is the one reported.
+    with pytest.raises(CircuitParseError, match=message) as exc:
+        parse_text(text)
+    assert exc.value.line == line
+
+
+def test_parse_matches_each_distinct_gate_line_once(monkeypatch):
+    # The n=5 file has 4096 gate lines but 64 distinct ones, 32 rows of each
+    # layer template; equal layers come back as one object.
+    toff, matched = mqgc._TOFF, []
+
+    class Counted:
+        def fullmatch(self, line, *bounds):
+            matched.append(line)
+            return toff.fullmatch(line, *bounds)
+
+    monkeypatch.setattr(mqgc, "_TOFF", Counted())
+    c, roles = parse_text(serialize_text(synth_mqg_network(5), mqg_roles(5)))
+    assert (c, roles) == (synth_mqg_network(5), mqg_roles(5))
+    assert len(matched) == len(set(matched)) == 64
+    assert c.layers[0] is c.layers[2] and c.layers[1] is c.layers[3]
+    assert len({id(layer) for layer in c.layers}) == 2
+
+
+def test_repeated_layer_object_is_checked_and_written_once():
+    # Circuit hashes a layer object it has seen once, and serialize builds
+    # the text of a layer object once, however often the layer repeats.
+    hashed, iterated = [], []
+
+    class Layer(tuple):
+        def __hash__(self):
+            hashed.append(self)
+            return super().__hash__()
+
+        def __iter__(self):
+            iterated.append(self)
+            return super().__iter__()
+
+    layer = Layer(((0, 1, 2),))
+    c = Circuit(3, (layer,) * 1000)
+    assert len(hashed) == 1
+    iterated.clear()
+    chunks = list(serialize(c, ("A0", "B1", "C1")))
+    assert len(iterated) == 1
+    assert chunks[1:] == ["layer\ntoff 0 1 2\n"] * 1000
 
 
 def test_parse_rejects_overlapping_layer():
@@ -232,7 +304,7 @@ def test_parse_rejects_overlapping_layer():
         "layer\ntoff 0 1 2\ntoff 2 1 3\n"
     )
     with pytest.raises(CircuitParseError, match="overlaps") as exc:
-        parse(text)
+        parse_text(text)
     assert exc.value.line == 9
 
 
@@ -265,20 +337,20 @@ def circuits(draw):
 
 @given(circuits())
 def test_roundtrip_random_circuits(labelled):
-    text = serialize(*labelled)
-    assert parse(text) == labelled
-    assert serialize(*parse(text)) == text
+    text = serialize_text(*labelled)
+    assert parse_text(text) == labelled
+    assert serialize_text(*parse_text(text)) == text
 
 
 @given(circuits(), st.data())
 def test_parse_accepts_only_canonical_text(labelled, data):
     # Any text parse accepts must be exactly what serialize writes for it.
-    text = serialize(*labelled)
+    text = serialize_text(*labelled)
     pos = data.draw(st.integers(0, len(text)))
     insert = data.draw(st.sampled_from([" ", "0", "1", "+", "-", "\r", "\n", "\t", "\u0661", "A"]))
     edited = text[:pos] + insert + text[pos:]
     try:
-        parsed = parse(edited)
+        parsed = parse_text(edited)
     except CircuitParseError:
         return
-    assert serialize(*parsed) == edited
+    assert serialize_text(*parsed) == edited

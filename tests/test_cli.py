@@ -59,15 +59,18 @@ def probe(*argvs):
 
 
 def test_option_strings_are_pinned():
-    # Every option of every subcommand, as build_parser() builds them, so
-    # no knob can appear or linger unnoticed.
-    parser = build_parser()
-    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    options = {
-        name: [s for a in p._actions for s in a.option_strings if s not in ("-h", "--help")]
-        for name, p in sub.choices.items()
-    }
-    assert options == {
+    # Every option of every subcommand, as build_parser(argv) builds them,
+    # so no knob can appear or linger unnoticed. Each parser gives options
+    # only to the subcommand that argv names.
+    def options(argv):
+        (sub,) = [a for a in build_parser(argv)._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        return {
+            name: [s for a in p._actions for s in a.option_strings if s not in ("-h", "--help")]
+            for name, p in sub.choices.items()
+        }
+
+    pinned = {
         "synth": ["--n", "--out"],
         "verify": ["--circuit", "--n", "--mode", "--out"],
         "compare": ["--n", "--all-up-to", "--out"],
@@ -76,9 +79,35 @@ def test_option_strings_are_pinned():
         "nmr-verify": ["--kind", "--rows", "--boundary", "--trials", "--seed", "--out"],
         "trace": ["--n", "--input", "--format", "--out"],
     }
+    for name, strings in pinned.items():
+        assert options([name]) == {other: [] for other in pinned} | {name: strings}
+    assert options([]) == options(["--help"]) == {name: [] for name in pinned}
     with pytest.raises(SystemExit) as exc:
         main(["nmr-verify", "--tol", "1e-10"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(argv, id=" ".join(argv))
+        for argv in [
+            ["compare", "--n", "2", "--all"],
+            ["trace", "--n", "1", "--inp", "111110000", "--form", "json"],
+            ["verify", "--circ", "n1.mqgc"],
+            ["--vers"],
+        ]
+    ],
+)
+def test_abbreviated_options_are_refused(tmp_path, monkeypatch, capsys, argv):
+    # No parser takes a prefix of an option, so a deleted flag that is a
+    # prefix of a live one cannot pass for it.
+    monkeypatch.chdir(tmp_path)
+    main(["synth", "--n", "1", "--out", "n1.mqgc"])
+    capsys.readouterr()
+    code, stdout, err = refused(capsys, *argv)
+    assert (code, stdout) == (2, "")
+    assert err.startswith("usage: mqgsim") and "error: " in err
 
 
 def test_synth_writes_file(tmp_path, capsys):
@@ -107,10 +136,13 @@ def test_synth_invalid_n(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["synth", "--n", "3"],
-        ["verify", "--n", "3"],
-        ["compare", "--n", "3"],
-        ["verify", "--n", "3", "--mode", "symbolic"],
+        pytest.param(argv, id=" ".join(argv))
+        for argv in [
+            ["synth", "--n", "3"],
+            ["verify", "--n", "3"],
+            ["compare", "--n", "3"],
+            ["verify", "--n", "3", "--mode", "symbolic"],
+        ]
     ],
 )
 def test_over_network_limit_exit_2(capsys, monkeypatch, argv):
@@ -196,22 +228,34 @@ def package_modules(*argv):
 
 
 def test_each_command_loads_only_its_own_modules(tmp_path):
-    # The file format, the stage check and the V-chain each load only for
-    # the commands that run them.
+    # The file format, the ANF engine, the stage check and the V-chain each
+    # load only for the commands that run them.
     mqgc, stages, baseline = "mqgsim.mqgc", "mqgsim.stages", "mqgsim.baseline"
+    symbolic = "mqgsim.symbolic"
     n1 = tmp_path / "n1.mqgc"
     assert package_modules("synth", "--n", "1", "--out", str(n1)) & {mqgc, stages, baseline} == {mqgc}
     assert not package_modules("verify", "--n", "3") & {mqgc, stages, baseline}
     exhaustive = package_modules("verify", "--circuit", str(n1))
     assert mqgc in exhaustive
-    assert not exhaustive & {"mqgsim.gf2", stages, baseline, "mqgsim.synthesis"}
+    assert not exhaustive & {"mqgsim.gf2", symbolic, stages, baseline, "mqgsim.synthesis"}
+    assert symbolic in package_modules("verify", "--circuit", str(n1), "--mode", "symbolic")
+    # trace runs the gate pass from circuit, so it loads neither backend.
     trace = package_modules("trace", "--n", "1", "--input", "111110000")
     assert stages in trace
-    assert not trace & {"mqgsim.gf2", mqgc, baseline}
+    assert not trace & {"mqgsim.sim", symbolic, "mqgsim.gf2", mqgc, baseline}
     compare = package_modules("compare", "--n", "2", "--all-up-to")
     assert compare & {mqgc, stages, baseline} == {baseline}
     nmr_verify = package_modules("nmr-verify", "--kind", "1", "--rows", "2", "--seed", "5")
     assert not nmr_verify & {mqgc, stages, baseline}
+    # Importing the CLI loads neither argparse nor json, and synth, which
+    # writes no report, never loads json.
+    done = child("-c", "import sys, mqgsim.cli; print({'argparse', 'json'} & set(sys.modules))")
+    assert done.stdout == "set()\n"
+    done = child(
+        "-c", "import sys; from mqgsim.cli import main; main(sys.argv[1:]); print('json' in sys.modules)",
+        "synth", "--n", "1", "--out", str(tmp_path / "again.mqgc"),
+    )
+    assert done.stdout == "False\n"
     # The ANF algebra stands alone.
     done = child("-c", "import json, sys, mqgsim.gf2; print(json.dumps(sorted(sys.modules)))")
     loaded = {m for m in json.loads(done.stdout) if m.startswith("mqgsim")}
@@ -255,6 +299,39 @@ def test_verify_parse_error_exit_2(tmp_path, capsys):
     assert "line 6" in err
 
 
+@pytest.mark.parametrize("n,line", [(2, 4), (2, 99), (5, 4355)])
+def test_verify_non_utf8_file_exit_2(tmp_path, capsys, n, line):
+    # A byte that is not UTF-8 is a parse error at its own line, with no
+    # report; the n=5 file is longer than one read of the file.
+    lines = "".join(serialize(synthesis.synth_mqg_network(n), mqg_roles(n))).encode()
+    lines = lines.splitlines(keepends=True)
+    lines[line - 1] = lines[line - 1][:-1] + b"\xff\n"
+    bad = tmp_path / "bad.mqgc"
+    bad.write_bytes(b"".join(lines))
+    code, stdout, err = run_cli(capsys, "verify", "--circuit", str(bad))
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"error: line {line}: 'utf-8' codec can't decode byte 0xff in position ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "old,new,count,message",
+    [
+        ("\n", "\r\n", -1, "line 1: expected header 'MQGC1'"),
+        ("toff 0 2 3\n", "toff 0 2\r3\n", 1, "line 21: unexpected line 'toff 0 2\\r3'"),
+    ],
+    ids=["crlf", "lone-cr"],
+)
+def test_verify_refuses_cr_in_file(tmp_path, capsys, old, new, count, message):
+    # The file is read in binary, so a CR reaches the parser and is refused
+    # at its own line: a CRLF copy of a network file does not pass.
+    text = "".join(serialize(synthesis.synth_mqg_network(2), mqg_roles(2)))
+    bad = tmp_path / "bad.mqgc"
+    bad.write_bytes(text.replace(old, new, count).encode())
+    code, stdout, err = run_cli(capsys, "verify", "--circuit", str(bad))
+    assert (code, stdout, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize(
     "line,text,message",
     [
@@ -269,7 +346,7 @@ def test_verify_parse_error_exit_2(tmp_path, capsys):
 )
 def test_parse_errors_clip_long_tokens(tmp_path, capsys, line, text, message):
     # Each message keeps its line number and hint but echoes only a prefix.
-    lines = serialize(synthesis.synth_mqg_network(1), mqg_roles(1)).split("\n")
+    lines = "".join(serialize(synthesis.synth_mqg_network(1), mqg_roles(1))).split("\n")
     lines[line - 1] = text
     bad = tmp_path / "bad.mqgc"
     bad.write_text("\n".join(lines))
@@ -519,12 +596,15 @@ def test_nmr_verify_never_prints_nan(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["verify", "--n", "2"],
-        ["verify", "--n", "3"],
-        ["verify", "--circuit", "drop.mqgc"],
-        ["compare", "--n", "3", "--all-up-to"],
-        ["trace", "--n", "1", "--input", "111110000", "--format", "json"],
-        ["nmr-verify", "--kind", "all", "--rows", "3"],
+        pytest.param(argv, id=" ".join(argv))
+        for argv in [
+            ["verify", "--n", "2"],
+            ["verify", "--n", "3"],
+            ["verify", "--circuit", "drop.mqgc"],
+            ["compare", "--n", "3", "--all-up-to"],
+            ["trace", "--n", "1", "--input", "111110000", "--format", "json"],
+            ["nmr-verify", "--kind", "all", "--rows", "3"],
+        ]
     ],
 )
 def test_stdout_is_strict_json(tmp_path, monkeypatch, capsys, argv):

@@ -4,20 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mqgsim import gf2, sim
+from mqgsim import gf2, symbolic
 from mqgsim.baseline import synth_baseline_dirty
 from mqgsim.circuit import Circuit, CircuitError, mqg_roles
 from mqgsim.gf2 import Anf
 from mqgsim.sim import (
     bitstring,
-    check_anf,
     mcx_oracle,
     output_columns,
     run_all,
-    run_anf,
     wire_columns,
 )
 from mqgsim.stages import Stage, check_stages
+from mqgsim.symbolic import check_anf, run_anf
 from mqgsim.synthesis import synth_mqg_network
 from network_reference import (
     anf_outputs,
@@ -236,7 +235,7 @@ def test_runs_finds_no_run_in_a_cube_free_sequence_in_linear_time(monkeypatch):
     a, b = ((0, 1, 2), (3, 4, 5)), ((0, 1, 2), (3, 4, 6))
     order = tuple((a, b)[bin(k).count("1") & 1] for k in range(1 << 14))
     start = time.process_time()
-    assert list(sim._runs(order)) == [(0, len(order), 1)]
+    assert list(symbolic._runs(order)) == [(0, len(order), 1)]
     assert time.process_time() - start < 1.0
     calls = count_compositions(monkeypatch)
     c = Circuit(7, order[:256])
@@ -245,11 +244,11 @@ def test_runs_finds_no_run_in_a_cube_free_sequence_in_linear_time(monkeypatch):
 
 
 def test_runs_treat_equal_layer_objects_as_one_layer():
-    # A parsed file holds a new tuple for every layer; equal ones still repeat.
+    # Layers built apart are equal but distinct tuples; equal ones still repeat.
     layers = network(2).layers
     copies = tuple(tuple(list(layer)) for layer in layers)
     assert copies[0] is not copies[2]
-    assert list(sim._runs(copies)) == list(sim._runs(layers)) == [(0, 2, len(layers) // 2)]
+    assert list(symbolic._runs(copies)) == list(symbolic._runs(layers)) == [(0, 2, len(layers) // 2)]
 
 
 @pytest.mark.parametrize("suffix", [(), (((3, 4, 0),),)], ids=["end", "suffix"])
