@@ -66,24 +66,31 @@ def _check_layer(index: int, layer: tuple[Gate, ...], width: int) -> None:
 class Circuit(namedtuple("Circuit", "num_qubits layers")):
     """Immutable circuit: a width, plus layers of (c1, c2, t) gates.
 
-    Construction checks that every layer is non-empty, in range, and made
-    of disjoint three-wire gates. Equal layers are checked once, and a
-    layer object seen before is not hashed again, so a network that
-    repeats a few layer objects costs a dict lookup per layer.
+    ``layers`` may be any iterable of layer tuples, such as a generator, so
+    a caller need hold only its distinct layers. Construction interns equal
+    layers, so in a Circuit equal layers are one object, and checks each
+    distinct layer once, as it arrives at its first index: non-empty, in
+    range, and made of disjoint three-wire gates. A layer object it holds
+    is not hashed again, so a network that repeats a few layer objects
+    costs a dict lookup per layer.
     """
 
     __slots__ = ()
 
-    def __new__(cls, num_qubits: int, layers: tuple[tuple[Gate, ...], ...] = ()):
-        seen: set[int] = set()
-        first: dict[tuple[Gate, ...], int] = {}
+    def __new__(cls, num_qubits: int, layers: Iterable[tuple[Gate, ...]] = ()):
+        distinct: dict[tuple[Gate, ...], tuple[Gate, ...]] = {}
+        # Ids only of the objects in distinct: a dropped temporary's id can recur.
+        held: set[int] = set()
+        interned = []
         for i, layer in enumerate(layers):
-            if id(layer) not in seen:
-                seen.add(id(layer))
-                first.setdefault(layer, i)
-        for layer, i in first.items():
-            _check_layer(i, layer, num_qubits)
-        return super().__new__(cls, num_qubits, layers)
+            if id(layer) not in held:
+                kept = distinct.setdefault(layer, layer)
+                if kept is layer:
+                    _check_layer(i, layer, num_qubits)
+                    held.add(id(layer))
+                layer = kept
+            interned.append(layer)
+        return super().__new__(cls, num_qubits, tuple(interned))
 
     @classmethod
     def _make(cls, fields) -> "Circuit":

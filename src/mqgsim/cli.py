@@ -77,7 +77,7 @@ def cmd_synth(args) -> int:
 
 def cmd_verify(args) -> int:
     from .circuit import control_target_masks, mqg_roles, network_n
-    from .sim import EXHAUSTIVE_LIMIT, mcx_oracle, run_all
+    from .sim import EXHAUSTIVE_LIMIT, McxOracle, run_all
 
     if args.circuit:
         from .mqgc import parse
@@ -89,7 +89,7 @@ def cmd_verify(args) -> int:
 
         circuit = synth_mqg_network(args.n)
         roles = mqg_roles(args.n)
-    oracle = mcx_oracle(*control_target_masks(network_n(roles)))
+    oracle = McxOracle(*control_target_masks(network_n(roles)))
 
     mode = args.mode
     if mode == "auto":

@@ -5,8 +5,8 @@ bit mask with bit v set for flat wire index v. The module imports
 nothing from the package; the block recurrences that run on ``Anf``
 columns live in ``stages``.
 
-``compose`` substitutes one map of raw monomial sets into another and
-touches only what the inner map moves, so ``symbolic.run_anf`` can raise a
+``compose`` substitutes one map of wire ANFs into another and touches
+only what the inner map moves, so ``symbolic.run_anf`` can raise a
 repeated block of layers to its power instead of running its gates again;
 the gate pass itself stays in ``circuit._apply_layers``. ``Anf.__and__`` and
 ``compose`` multiply monomial sets with one helper, ``_product``.
@@ -87,28 +87,27 @@ def _product(ps, qs, acc: set[int] | None = None) -> set[int]:
     return acc
 
 
-def compose(
-    outer: dict[int, frozenset[int]], inner: dict[int, frozenset[int]]
-) -> dict[int, frozenset[int]]:
+def compose(outer: dict[int, Anf], inner: dict[int, Anf]) -> dict[int, Anf]:
     """The map ``outer`` after ``inner``: ``inner[v]`` substituted for each v in ``outer``.
 
-    A map holds the raw monomial set of each wire it moves; a wire that it
-    omits or maps to itself is fixed. The result maps every wire of either
-    map. Only the variables that ``inner`` moves are substituted: a wire of
-    ``outer`` whose polynomial has none keeps its set, and a monomial's
+    A map holds the ANF of each wire it moves; a wire that it omits or maps
+    to itself is fixed. The result maps every wire of either map. Only the
+    variables that ``inner`` moves are substituted: a wire of ``outer``
+    whose polynomial has none keeps its ``Anf`` object, and a monomial's
     fixed variables stay in place as one mask.
     """
     moved = 0
     for v, poly in inner.items():
-        if len(poly) != 1 or 1 << v not in poly:
+        if poly.monomials != {1 << v}:
             moved |= 1 << v
     out = dict(inner)
     for w, poly in outer.items():
-        acc = {m for m in poly if not m & moved}
-        if len(acc) == len(poly):
+        monomials = poly.monomials
+        acc = {m for m in monomials if not m & moved}
+        if len(acc) == len(monomials):
             out[w] = poly
             continue
-        for m in poly:
+        for m in monomials:
             hit = m & moved
             if not hit:
                 continue
@@ -117,8 +116,8 @@ def compose(
             term = (m ^ hit,)
             while hit & (hit - 1):
                 low = hit & -hit
-                term = _product(term, inner[low.bit_length() - 1])
+                term = _product(term, inner[low.bit_length() - 1].monomials)
                 hit ^= low
-            _product(term, inner[hit.bit_length() - 1], acc)
-        out[w] = frozenset(acc)
+            _product(term, inner[hit.bit_length() - 1].monomials, acc)
+        out[w] = Anf(acc)
     return out

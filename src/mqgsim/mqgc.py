@@ -59,9 +59,10 @@ def parse(lines: Iterable[bytes]) -> tuple[Circuit, tuple[str, ...]]:
     spaces, blank lines, CR, bytes that are not UTF-8 or a missing final
     newline) raises CircuitParseError with the 1-based offending line.
     Lines are checked as they are read, so of two faulty lines the earlier
-    is reported; the label and layer checks run after the last line. Each
-    distinct gate line is decoded and matched once, and equal layers come
-    back as one tuple object.
+    is reported: the labels right after the role lines, and each layer when
+    the next header or the end closes it. The layers stream into
+    ``Circuit``, which interns them, so the parse holds only the distinct
+    layers, and each distinct gate line is decoded and matched once.
     """
     numbered = enumerate(lines, 1)
 
@@ -107,42 +108,39 @@ def parse(lines: Iterable[bytes]) -> tuple[Circuit, tuple[str, ...]]:
             fail(lineno, f"bad qubit label {_clip(repr(match[2]))}")
         roles.append(match[2])
 
-    gates: dict[bytes, Gate] = {}  # each distinct gate line, newline included
-    layers: list[tuple[Gate, ...]] = []
-    distinct: dict[tuple[Gate, ...], tuple[Gate, ...]] = {}
-    layer_lines: list[int] = []
-    layer = None  # the gates of the open layer block
-
-    def close(layer: list[Gate] | None) -> None:
-        if layer is not None:
-            layer = tuple(layer)
-            layers.append(distinct.setdefault(layer, layer))
-
-    for lineno, line in numbered:
-        gate = gates.get(line)
-        if gate is not None:
-            layer.append(gate)
-            continue
-        if line == b"layer\n":
-            close(layer)
-            layer = []
-            layer_lines.append(lineno)
-            continue
-        text = decode(lineno, line)
-        match = _TOFF.fullmatch(text)
-        if match is None:
-            fail(lineno, f"unexpected line {_clip(repr(text))}")
-        if layer is None:
-            fail(lineno, "toff outside a layer block")
-        gate = gates[line] = (int(match[1]), int(match[2]), int(match[3]))
-        layer.append(gate)
-    close(layer)
-
     if len(set(roles)) != num_qubits:
         fail(num_qubits + 2, "role map is not a bijection (duplicate labels)")
+
+    header = 0  # line of the open layer block's header
+
+    def layers() -> Iterator[tuple[Gate, ...]]:
+        nonlocal header
+        gates: dict[bytes, Gate] = {}  # each distinct gate line, newline included
+        layer = None  # the gates of the open layer block
+        for lineno, line in numbered:
+            gate = gates.get(line)
+            if gate is not None:
+                layer.append(gate)
+                continue
+            if line == b"layer\n":
+                if layer is not None:
+                    yield tuple(layer)
+                layer, header = [], lineno
+                continue
+            text = decode(lineno, line)
+            match = _TOFF.fullmatch(text)
+            if match is None:
+                fail(lineno, f"unexpected line {_clip(repr(text))}")
+            if layer is None:
+                fail(lineno, "toff outside a layer block")
+            gate = gates[line] = (int(match[1]), int(match[2]), int(match[3]))
+            layer.append(gate)
+        if layer is not None:
+            yield tuple(layer)
+
     try:
-        return Circuit(num_qubits, tuple(layers)), tuple(roles)
+        return Circuit(num_qubits, layers()), tuple(roles)
     except LayerError as e:
-        # A layer's gates sit on the lines right after its header.
-        start = layer_lines[e.layer]
-        fail(start if e.gate is None else start + 1 + e.gate, str(e))
+        # Circuit checks a layer as it takes it, so the bad layer is the one
+        # just yielded, and its gates sit on the lines after its header.
+        fail(header if e.gate is None else header + 1 + e.gate, str(e))

@@ -82,13 +82,12 @@ class ZZTerm(NamedTuple):
     coupling: str  # which of a..f this term carries
 
 
-@lru_cache(maxsize=4)
 def build_hamiltonian(cfg: LatticeConfig) -> tuple[ZZTerm, ...]:
     """All ZZ terms; e/f terms wrap to row 1 or are dropped at an open edge.
 
-    Cached per lattice, so the six identities of one ``nmr-verify`` run
-    share one build; the terms are a tuple, so no caller can change
-    another's.
+    Not cached: ``lattice_triples``, the one cache per lattice, reads the
+    terms once for all six identities of an ``nmr-verify`` run. The terms
+    are a tuple, so no caller can change another's.
     """
     terms: list[ZZTerm] = []
     for l in range(1, cfg.rows + 1):

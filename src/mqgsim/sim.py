@@ -3,15 +3,16 @@
 The truth-table check runs the gate pass (``circuit._apply_layers``) on
 bit-sliced int columns: bit s of column i is wire i in basis state s, so
 one pass runs all 2^M basis states at once. The single reference is
-``mcx_oracle``: a multi-controlled NOT given by a control mask and a
-target mask, whose one evaluator ``McxOracle.apply`` runs on columns of
-any kind. The exhaustive check applies it to the identity truth table,
-and the symbolic check (``symbolic``) to ``Anf.var`` columns; both
-return an EquivReport. The stage check that runs the gate pass beside
+``McxOracle``: a multi-controlled NOT given by a control mask and a
+target mask, checked when it is made, whose one evaluator
+``McxOracle.apply`` runs on columns of any kind. The exhaustive check
+applies it to the identity truth table, and the symbolic check
+(``symbolic``) to ``Anf.var`` columns; both return an EquivReport. The stage check that runs the gate pass beside
 the block recurrences is in ``stages``.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from typing import NamedTuple, Sequence
 
 from .circuit import Circuit, CircuitError, _apply_layers
@@ -20,11 +21,6 @@ from .circuit import Circuit, CircuitError, _apply_layers
 # peak (outputs, the reverse pass and the identity; the oracle then shares
 # the reverse pass's columns), about 3*M*2^M/8 bytes: 144 MB at 24 qubits.
 EXHAUSTIVE_LIMIT = 24
-
-
-def bitstring(word: int, width: int) -> str:
-    """Flat-index order, lowest index first."""
-    return "".join(str((word >> i) & 1) for i in range(width))
 
 
 def wire_columns(width: int) -> list[int]:
@@ -50,16 +46,25 @@ def output_columns(circuit: Circuit) -> list[int]:
 
 
 def _row_bits(columns: Sequence[int], s: int) -> str:
-    """Row s of a bit-sliced table, in ``bitstring`` order."""
+    """Row s of a bit-sliced table, lowest wire first."""
     return "".join(str(column >> s & 1) for column in columns)
 
 
-class McxOracle(NamedTuple):
+class McxOracle(namedtuple("McxOracle", "control target")):
     """Reference multi-controlled NOT: XOR ``target`` into every state whose
-    ``control`` bits are all 1; every other state is left alone."""
+    ``control`` bits are all 1; every other state is left alone. The masks
+    must not overlap, and the target must be set."""
 
-    control: int
-    target: int
+    __slots__ = ()
+
+    def __new__(cls, control: int, target: int):
+        if target <= 0 or control < 0 or control & target:
+            raise CircuitError(f"bad oracle masks: control {control:#x}, target {target:#x}")
+        return super().__new__(cls, control, target)
+
+    @classmethod
+    def _make(cls, fields) -> "McxOracle":
+        return cls(*fields)  # so _replace validates too
 
     def apply(self, columns: Sequence, one) -> list:
         """The output on ``columns``, one per wire, of any type with ``&`` and
@@ -76,15 +81,6 @@ class McxOracle(NamedTuple):
             if self.control >> i & 1:
                 fires &= columns[i]
         return [c ^ fires if self.target >> i & 1 else c for i, c in enumerate(columns)]
-
-
-def mcx_oracle(control_mask: int, target_mask: int) -> McxOracle:
-    """The C^k-NOT on ``control_mask`` and ``target_mask``; they must not overlap."""
-    if target_mask <= 0 or control_mask < 0 or control_mask & target_mask:
-        raise CircuitError(
-            f"bad oracle masks: control {control_mask:#x}, target {target_mask:#x}"
-        )
-    return McxOracle(control_mask, target_mask)
 
 
 class EquivReport(NamedTuple):
@@ -131,7 +127,7 @@ def run_all(circuit: Circuit, oracle: McxOracle) -> EquivReport:
             qubits=M,
             passed=False,
             counterexample={
-                "input": bitstring(s, M),
+                "input": _row_bits(undone, s),
                 "expected": _row_bits(expected, s),
                 "actual": _row_bits(outputs, s),
             },

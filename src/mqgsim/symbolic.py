@@ -39,20 +39,18 @@ def run_anf(circuit: Circuit) -> dict[int, Anf]:
             continue
         power = _power(block, count, width)
         # At the start the columns are still the identity.
-        after = power
-        if start:
-            after = gf2.compose(power, {i: c.monomials for i, c in enumerate(columns)})
+        after = gf2.compose(power, dict(enumerate(columns))) if start else power
         for w in power:
-            columns[w] = Anf(after[w])
+            columns[w] = after[w]
     return dict(enumerate(columns))
 
 
-def _power(block: Sequence[tuple[Gate, ...]], count: int, width: int) -> dict[int, frozenset[int]]:
-    """The map of ``block`` repeated ``count`` times, as the raw monomial
-    sets of the wires it moves: one gate pass, then binary powering."""
+def _power(block: Sequence[tuple[Gate, ...]], count: int, width: int) -> dict[int, Anf]:
+    """The map of ``block`` repeated ``count`` times, as the ANFs of the
+    wires it moves: one gate pass, then binary powering."""
     base = [Anf.var(i) for i in range(width)]
     _apply_layers(base, block)
-    base = {t: base[t].monomials for layer in block for _, _, t in layer}
+    base = {t: base[t] for layer in block for _, _, t in layer}
     power = None
     while True:
         if count & 1:
@@ -66,25 +64,21 @@ def _power(block: Sequence[tuple[Gate, ...]], count: int, width: int) -> dict[in
 def _runs(layers: Sequence[tuple[Gate, ...]]):
     """Cover ``layers`` in order with runs ``(start, period, count)``.
 
-    The one period tried at a position is the distance p to the next equal
-    layer, the shortest a repeat can have. Where the p layers from there
-    repeat back to back at least three times, the run takes every repeat
-    that follows; the layers between such runs form runs of count 1. A
-    block in which its first layer recurs is found from a later layer that
-    is unique in it, one repeat shorter. So each position costs a lookup
-    and, when the last layers agree, one comparison of 2p layers. A block
-    repeated only twice stays in the gate pass: squaring it would spend one
-    composition to save one pass of the block, and on the V-chain, which
-    is one block twice, the pass is the faster.
+    Layers are compared by identity, as a ``Circuit``'s are: it interns
+    equal layers, so a layer's id is its code. The one period tried at a
+    position is the distance p to the next equal layer, the shortest a
+    repeat can have. Where the p layers from there repeat back to back at
+    least three times, the run takes every repeat that follows; the layers
+    between such runs form runs of count 1. A block in which its first
+    layer recurs is found from a later layer that is unique in it, one
+    repeat shorter. So each position costs a lookup and, when the last
+    layers agree, one comparison of 2p layers. A block repeated only twice
+    stays in the gate pass: squaring it would spend one composition to
+    save one pass of the block, and on the V-chain, which is one block
+    twice, the pass is the faster.
     """
     end = len(layers)
-    # Equal layers share a code; a layer object seen before is not hashed again.
-    by_id, by_value, code = {}, {}, []
-    for layer in layers:
-        c = by_id.get(id(layer))
-        if c is None:
-            c = by_id[id(layer)] = by_value.setdefault(layer, len(by_value))
-        code.append(c)
+    code = [id(layer) for layer in layers]
     nxt, last = [end] * end, {}  # nxt[i]: the next layer equal to layer i, or end
     for i in range(end - 1, -1, -1):
         nxt[i] = last.get(code[i], end)

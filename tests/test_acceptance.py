@@ -12,7 +12,7 @@ from mqgsim.baseline import synth_baseline_dirty, table1_compare
 from mqgsim.circuit import metrics, mqg_roles
 from mqgsim.nmr import LatticeConfig, canonical_sequence, verify_identity
 from mqgsim.sim import (
-    mcx_oracle,
+    McxOracle,
     output_columns,
     run_all,
     wire_columns,
@@ -35,7 +35,7 @@ def network(n):
 
 
 def oracle(n):
-    return mcx_oracle(*network_masks(n))
+    return McxOracle(*network_masks(n))
 
 
 def report(num, name, ok):
@@ -200,7 +200,7 @@ def test_criterion_9_padding():
     for active in (2, 3, 4):
         pinned = pin_mask(1, active)
         ok &= bin(control_mask & ~pinned).count("1") == active
-        oracle = mcx_oracle(control_mask & ~pinned, target_mask)
+        oracle = McxOracle(control_mask & ~pinned, target_mask)
         expected = oracle.apply(wire_columns(M), (1 << (1 << M)) - 1)
         # Bit s of held is set on the states with every pinned control at 1.
         held = sum(1 << s for s in range(1 << M) if s & pinned == pinned)

@@ -244,7 +244,8 @@ def test_parse_errors_carry_line_numbers(text, line):
     [
         ("MQG??\nqubits 1\nrole 0 A0", 1, "expected header"),
         (f"{THREE_WIRES}layer\nbogus\nlayer", 7, "unexpected line 'bogus'"),
-        # The label and layer checks run after the last line.
+        # A layer is checked when the next header closes it, so a header
+        # with no newline shows before the bad gate above it.
         (f"{THREE_WIRES}layer\ntoff 0 1 9\nlayer", 8, "must end with a newline"),
         ("MQGC1\nqubits 2\nrole 0 A0\nrole 1 A0", 4, "must end with a newline"),
     ],
@@ -296,6 +297,34 @@ def test_repeated_layer_object_is_checked_and_written_once():
     chunks = list(serialize(c, ("A0", "B1", "C1")))
     assert len(iterated) == 1
     assert chunks[1:] == ["layer\ntoff 0 1 2\n"] * 1000
+
+
+def test_circuit_interns_equal_layers():
+    # Equal layers built apart come back as one object, checked once.
+    layer = ((0, 1, 2),)
+    c = Circuit(3, (layer, tuple(list(layer))))
+    assert c.layers[0] is c.layers[1] is layer
+    streamed = Circuit(3, (tuple(list(layer)) for _ in range(4)))
+    assert len({id(x) for x in streamed.layers}) == 1
+
+
+@pytest.mark.parametrize(
+    "edits,line,message",
+    [
+        ({4: "role 1 A0", 21: "toff 0 2"}, 19, "role map is not a bijection"),
+        ({21: "toff 0 2 2", 99: "bogus"}, 21, "needs three distinct wires"),
+    ],
+    ids=["duplicate-label-then-bad-line", "bad-gate-then-bad-line"],
+)
+def test_parse_names_the_earlier_of_two_faults(edits, line, message):
+    # The labels are checked right after the role lines, and a layer when the
+    # next header closes it, so neither waits for the last line.
+    lines = serialize_text(synth_mqg_network(2), mqg_roles(2)).splitlines()
+    for lineno, text in edits.items():
+        lines[lineno - 1] = text
+    with pytest.raises(CircuitParseError, match=message) as exc:
+        parse_text("\n".join(lines) + "\n")
+    assert exc.value.line == line
 
 
 def test_parse_rejects_overlapping_layer():

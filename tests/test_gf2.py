@@ -91,13 +91,11 @@ def test_eval_is_a_homomorphism(p, q, word):
 
 
 def anf_maps():
-    """Maps from each of the variables 0..4 to the raw monomial set of an ANF over them."""
-    return st.lists(anfs(), min_size=5, max_size=5).map(
-        lambda polys: {v: p.monomials for v, p in enumerate(polys)}
-    )
+    """Maps from each of the variables 0..4 to an ANF over them."""
+    return st.lists(anfs(), min_size=5, max_size=5).map(lambda polys: dict(enumerate(polys)))
 
 
-IDENTITY = {v: {1 << v} for v in range(5)}
+IDENTITY = {v: Anf.var(v) for v in range(5)}
 
 
 @given(anf_maps())
@@ -110,43 +108,36 @@ def test_compose_identity_on_either_side(f):
 @given(anf_maps(), anf_maps(), st.integers(0, 31))
 def test_compose_is_substitution(f, g, word):
     assign = {v: (word >> v) & 1 for v in range(5)}
-    inner = {v: evaluate(Anf(g[v]), assign) for v in range(5)}
+    inner = {v: evaluate(g[v], assign) for v in range(5)}
     fg = compose(f, g)
     assert sorted(fg) == sorted(f)
     for w in f:
-        assert evaluate(Anf(fg[w]), assign) == evaluate(Anf(f[w]), inner)
+        assert evaluate(fg[w], assign) == evaluate(f[w], inner)
 
 
 def test_compose_cancels():
     # x1 x2 after x1 -> x1 + x2, x2 -> x1 + x2 is (x1 + x2)^2 = x1 + x2.
-    f = {0: (x1 & x2).monomials}
-    g = {1: (x1 ^ x2).monomials, 2: (x1 ^ x2).monomials}
-    assert compose(f, g) == {0: (x1 ^ x2).monomials, **g}
+    f = {0: x1 & x2}
+    g = {1: x1 ^ x2, 2: x1 ^ x2}
+    assert compose(f, g) == {0: x1 ^ x2, **g}
     # x1 x3 after x1 -> x1 + x3 (x3 fixed) is x1 x3 + x3.
-    assert compose({0: (x1 & x3).monomials}, {1: (x1 ^ x3).monomials})[0] == (
-        (x1 & x3) ^ x3
-    ).monomials
+    assert compose({0: x1 & x3}, {1: x1 ^ x3})[0] == (x1 & x3) ^ x3
 
 
 def test_compose_cancels_coinciding_products_of_one_moved_variable():
     # One moved variable x1, fixed part x3: x3 x1 and x3 (x1 x3) are one
     # monomial, so x1 x3 after x1 -> x1 + x1 x3 + x2 is x2 x3.
-    g = {1: (x1 ^ (x1 & x3) ^ x2).monomials}
-    assert compose({0: (x1 & x3).monomials}, g)[0] == (x2 & x3).monomials
-    assert compose({0: (x1 & x3).monomials}, {1: (x1 ^ (x1 & x3)).monomials})[0] == set()
+    g = {1: x1 ^ (x1 & x3) ^ x2}
+    assert compose({0: x1 & x3}, g)[0] == x2 & x3
+    assert compose({0: x1 & x3}, {1: x1 ^ (x1 & x3)})[0] == Anf()
 
 
 def test_compose_maps_only_what_moves():
     # Omitted wires are fixed; the result maps every wire of either map, and a
-    # polynomial with no moved variable is kept as the same set.
-    kept = (x2 & x3).monomials
-    out = compose({0: kept, 2: (x1 ^ x2).monomials}, {1: (x1 ^ x3).monomials, 4: set()})
-    assert out == {
-        0: kept,
-        1: (x1 ^ x3).monomials,
-        2: (x1 ^ x2 ^ x3).monomials,
-        4: set(),
-    }
+    # polynomial with no moved variable is kept as the same object.
+    kept = x2 & x3
+    out = compose({0: kept, 2: x1 ^ x2}, {1: x1 ^ x3, 4: Anf()})
+    assert out == {0: kept, 1: x1 ^ x3, 2: x1 ^ x2 ^ x3, 4: Anf()}
     assert out[0] is kept
 
 

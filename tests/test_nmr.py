@@ -116,13 +116,19 @@ def test_hamiltonian_keeps_zero_couplings():
     assert len(e_terms) == 2 and all(coeff == 0.0 for _, _, coeff in e_terms)
 
 
-def test_verify_identity_builds_the_hamiltonian_once():
+def test_verify_identity_builds_the_hamiltonian_once(monkeypatch):
     cfg = LatticeConfig(3, "open")
-    build_hamiltonian.cache_clear()
+    built = []
+
+    def counted(cfg):
+        built.append(cfg)
+        return build_hamiltonian(cfg)
+
+    monkeypatch.setattr(nmr, "build_hamiltonian", counted)
     lattice_triples.cache_clear()
     for kind in range(1, 7):
         assert verify_identity(kind, cfg).passed
-    assert build_hamiltonian.cache_info().misses == 1
+    assert built == [cfg]
     assert lattice_triples.cache_info().misses == 1
 
 

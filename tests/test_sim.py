@@ -9,8 +9,7 @@ from mqgsim.baseline import synth_baseline_dirty
 from mqgsim.circuit import Circuit, CircuitError, mqg_roles
 from mqgsim.gf2 import Anf
 from mqgsim.sim import (
-    bitstring,
-    mcx_oracle,
+    McxOracle,
     output_columns,
     run_all,
     wire_columns,
@@ -38,11 +37,16 @@ def network(n):
 
 
 def oracle(n):
-    return mcx_oracle(*network_masks(n))
+    return McxOracle(*network_masks(n))
 
 
 def word(bits):
     return sum(b << i for i, b in enumerate(bits))
+
+
+def bitstring(word, width):
+    """``word`` as bits in flat-index order, lowest index first."""
+    return "".join(str(word >> i & 1) for i in range(width))
 
 
 def row(columns, s):
@@ -201,11 +205,6 @@ def test_run_anf_matches_reference_on_every_layer_deletion(monkeypatch):
             assert len(calls) <= 3 * n, (n, drop)
 
 
-def raw(anf_map):
-    """An ``Anf`` map as ``gf2.compose`` takes it: raw monomial sets."""
-    return {w: poly.monomials for w, poly in anf_map.items()}
-
-
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_compose_of_run_anf_is_run_anf_of_the_sequence(data):
@@ -213,8 +212,7 @@ def test_compose_of_run_anf_is_run_anf_of_the_sequence(data):
     first = Circuit(width, data.draw(random_layers(width)))
     then = Circuit(width, data.draw(random_layers(width)))
     both = Circuit(width, first.layers + then.layers)
-    composed = gf2.compose(raw(run_anf(then)), raw(run_anf(first)))
-    assert {w: Anf(poly) for w, poly in composed.items()} == run_anf(both) == anf_outputs(both)
+    assert gf2.compose(run_anf(then), run_anf(first)) == run_anf(both) == anf_outputs(both)
 
 
 @pytest.mark.parametrize("m", range(3, 10))
@@ -244,11 +242,13 @@ def test_runs_finds_no_run_in_a_cube_free_sequence_in_linear_time(monkeypatch):
 
 
 def test_runs_treat_equal_layer_objects_as_one_layer():
-    # Layers built apart are equal but distinct tuples; equal ones still repeat.
+    # Layers built apart are equal but distinct tuples; a Circuit interns
+    # them, so equal ones still repeat.
     layers = network(2).layers
     copies = tuple(tuple(list(layer)) for layer in layers)
     assert copies[0] is not copies[2]
-    assert list(symbolic._runs(copies)) == list(symbolic._runs(layers)) == [(0, 2, len(layers) // 2)]
+    interned = Circuit(network(2).num_qubits, copies).layers
+    assert list(symbolic._runs(interned)) == list(symbolic._runs(layers)) == [(0, 2, len(layers) // 2)]
 
 
 @pytest.mark.parametrize("suffix", [(), (((3, 4, 0),),)], ids=["end", "suffix"])
@@ -444,7 +444,7 @@ def test_mcx_oracle_matches_reference(n):
     # all-state truth table and the output ANFs.
     control, target = network_masks(n)
     width = 2 ** (n + 2) + 1
-    oracle = mcx_oracle(control, target)
+    oracle = McxOracle(control, target)
     table = mcx_table(control, target, width)
     for s in range(1 << width):
         assert word(oracle.apply([s >> i & 1 for i in range(width)], 1)) == table[s], s
@@ -486,7 +486,7 @@ def test_bit_sliced_backend_matches_run_word(c, data):
         control = data.draw(st.integers(0, (1 << M) - 1)) & ~target
     expected = mcx_table(control, target, M)
     bad = [s for s in range(1 << M) if words[s] != expected[s]]
-    rep = run_all(c, mcx_oracle(control, target))
+    rep = run_all(c, McxOracle(control, target))
     assert rep.passed == (not bad)
     if bad:
         s = bad[0]  # the lowest failing input
@@ -499,9 +499,23 @@ def test_bit_sliced_backend_matches_run_word(c, data):
 
 def test_mcx_oracle_rejects_overlapping_masks():
     with pytest.raises(CircuitError):
-        mcx_oracle(0b011, 0b010)
+        McxOracle(0b011, 0b010)
     with pytest.raises(CircuitError):
-        mcx_oracle(0b011, 0)
+        McxOracle(0b011, 0)
+
+
+@pytest.mark.parametrize(
+    "control,target", [(0b011, 0b010), (-8, 0b100), (0b011, -4), (0b011, 0)],
+    ids=["overlap", "negative-control", "negative-target", "zero-target"],
+)
+def test_mcx_oracle_refuses_bad_masks_when_made_or_replaced(control, target):
+    with pytest.raises(CircuitError, match="bad oracle masks"):
+        McxOracle(control, target)
+    good = McxOracle(0b001, 0b100)
+    with pytest.raises(CircuitError, match="bad oracle masks"):
+        good._replace(control=control, target=target)
+    with pytest.raises(CircuitError, match="bad oracle masks"):
+        McxOracle._make((control, target))
 
 
 @pytest.mark.parametrize("kind", ["one-state", "all-state", "anf"])
@@ -514,4 +528,4 @@ def test_mcx_oracle_apply_rejects_masks_wider_than_width(control, target, kind):
         "anf": ([Anf.var(i) for i in range(3)], Anf.one()),
     }[kind]
     with pytest.raises(CircuitError, match="do not fit 3 wires"):
-        mcx_oracle(control, target).apply(columns, one)
+        McxOracle(control, target).apply(columns, one)
